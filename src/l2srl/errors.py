@@ -64,5 +64,9 @@ class InvalidPredicateIndex(ValueError):
     """A predicate index passed to the tagger is out of range or duplicated."""
 
 
+class NoValidPath(ValueError):
+    """No grammar-valid tag sequence has a finite score under the model."""
+
+
 class VersionMismatch(ValueError):
     """A model file declares a version this code does not understand."""

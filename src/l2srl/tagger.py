@@ -9,14 +9,18 @@ well-formed frame.  Training is sequential and fully deterministic given the
 seed; per-epoch shuffling uses a private RNG.
 """
 
+import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from operator import add
+from typing import NamedTuple
 
 from l2srl.corpus import Corpus
 from l2srl.errors import (
     EmptyCorpus,
     InvalidPredicateIndex,
+    NoValidPath,
     ParseError,
     VersionMismatch,
 )
@@ -42,7 +46,6 @@ PAD_END = "</s>"
 class TrainConfig:
     epochs: int = 10
     seed: int = 1
-    averaged: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -145,48 +148,81 @@ def _can_follow(prev: str, tag: str) -> bool:
     return pos not in ("I", "E")
 
 
-def _viterbi(labels, emissions, transitions, feats, predicate_pos):
-    """Best grammar-valid tag sequence; ties break toward earlier labels."""
-    n = len(feats)
+class Grammar(NamedTuple):
+    """The tag grammar over label indices of one label set.
+
+    ``predecessors[j]`` lists, ascending, every label index that may precede
+    label ``j``; ``starts`` lists the labels a sequence may start with and
+    ``ends[j]`` says whether one may end with label ``j``.
+    """
+
+    rel: int
+    predecessors: tuple
+    starts: tuple
+    ends: tuple
+
+
+@lru_cache(maxsize=16)
+def compile_grammar(labels: tuple) -> Grammar:
+    """Compile the tag grammar of ``labels`` from the reference predicates."""
+    indices = range(len(labels))
+    return Grammar(
+        rel=labels.index(REL_TAG),
+        predecessors=tuple(
+            tuple(k for k in indices if _can_follow(labels[k], lab)) for lab in labels
+        ),
+        starts=tuple(j for j in indices if _can_start(labels[j])),
+        ends=tuple(_can_end(lab) for lab in labels),
+    )
+
+
+def _viterbi(grammar: Grammar, emit, columns, predicate_pos: int) -> list[int]:
+    """Best grammar-valid label-index sequence; ties break toward earlier labels.
+
+    ``emit[t][j]`` scores label ``j`` at token ``t``; ``columns[j][i]`` is the
+    weight of the transition into ``j`` from ``grammar.predecessors[j][i]``.
+    The predicate token takes ``rel`` and every other token anything but
+    ``rel``.  Raises NoValidPath when no valid sequence has a finite score.
+    """
+    n = len(emit)
     neg = float("-inf")
-    emit = [
-        [sum(emissions.get((f, lab), 0) for f in feats[t]) for lab in labels]
-        for t in range(n)
+    rel = grammar.rel
+    size = len(grammar.ends)
+    lattice = [
+        (j, tuple(zip(preds, weights)))
+        for j, (preds, weights) in enumerate(zip(grammar.predecessors, columns))
     ]
-
-    def allowed(t, lab):
-        if t == predicate_pos:
-            return lab == REL_TAG
-        return lab != REL_TAG
-
-    scores = [[neg] * len(labels) for _ in range(n)]
-    back = [[-1] * len(labels) for _ in range(n)]
-    for j, lab in enumerate(labels):
-        if allowed(0, lab) and _can_start(lab):
-            scores[0][j] = emit[0][j]
+    only_rel = [lattice.pop(rel)]
+    scores = [neg] * size
+    for j in grammar.starts:
+        if (j == rel) == (predicate_pos == 0):
+            scores[j] = emit[0][j]
+    back = [None]
     for t in range(1, n):
-        for j, lab in enumerate(labels):
-            if not allowed(t, lab):
-                continue
+        prev, row = scores, emit[t]
+        scores = [neg] * size
+        pointers = [-1] * size
+        for j, pairs in only_rel if t == predicate_pos else lattice:
             best, best_k = neg, -1
-            for k, prev in enumerate(labels):
-                if scores[t - 1][k] == neg or not _can_follow(prev, lab):
-                    continue
-                candidate = scores[t - 1][k] + transitions.get((prev, lab), 0)
+            for k, w in pairs:
+                candidate = prev[k] + w
                 if candidate > best:
                     best, best_k = candidate, k
             if best_k >= 0:
-                scores[t][j] = best + emit[t][j]
-                back[t][j] = best_k
+                scores[j] = best + row[j]
+                pointers[j] = best_k
+        back.append(pointers)
     best, best_j = neg, -1
-    for j, lab in enumerate(labels):
-        if scores[n - 1][j] > best and _can_end(lab):
-            best, best_j = scores[n - 1][j], j
+    for j, can_end in enumerate(grammar.ends):
+        if scores[j] > best and can_end:
+            best, best_j = scores[j], j
+    if best_j < 0:
+        raise NoValidPath("no grammar-valid tag sequence has a finite score")
     path = [best_j]
     for t in range(n - 1, 0, -1):
         path.append(back[t][path[-1]])
     path.reverse()
-    return [labels[j] for j in path]
+    return path
 
 
 def viterbi_decode(
@@ -196,18 +232,33 @@ def viterbi_decode(
     n = len(sentence.tokens)
     if not 1 <= predicate_index <= n:
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
-    feats = [extract_features(sentence, predicate_index, i) for i in range(1, n + 1)]
-    return _viterbi(
-        model.labels, model.emissions, model.transitions, feats, predicate_index - 1
-    )
+    labels = model.labels
+    emission = model.emissions.get
+    rows: dict = {}  # feature -> its weight per label, looked up once per decode
+    emit = []
+    for i in range(1, n + 1):
+        feats = extract_features(sentence, predicate_index, i)
+        for f in feats:
+            if f not in rows:
+                rows[f] = [emission((f, lab), 0) for lab in labels]
+        # sum() per label over the features in order keeps float sums unchanged
+        emit.append(list(map(sum, zip(*[rows[f] for f in feats]))))
+    grammar = compile_grammar(tuple(labels))
+    transition = model.transitions.get
+    columns = [
+        [transition((labels[k], lab), 0) for k in preds]
+        for lab, preds in zip(labels, grammar.predecessors)
+    ]
+    path = _viterbi(grammar, emit, columns, predicate_index - 1)
+    return [labels[j] for j in path]
 
 
-def _training_sequences(corpus: Corpus):
+def _training_sequences(corpus: Corpus, index: dict):
     sequences = []
     for sentence in corpus.sentences:
         n = len(sentence.tokens)
         for frame in sentence.frames:
-            gold = tags_from_spans(frame, n)
+            gold = [index[lab] for lab in tags_from_spans(frame, n)]
             feats = [
                 extract_features(sentence, frame.predicate_index, i)
                 for i in range(1, n + 1)
@@ -216,18 +267,16 @@ def _training_sequences(corpus: Corpus):
     return sequences
 
 
-def _sequence_delta(feats, gold, predicted) -> Counter:
-    delta = Counter()
-    for t, (g, p) in enumerate(zip(gold, predicted)):
-        if g == p:
-            continue
-        for f in feats[t]:
-            delta[("E", f, g)] += 1
-            delta[("E", f, p)] -= 1
-    for t in range(1, len(gold)):
-        delta[("T", gold[t - 1], gold[t])] += 1
-        delta[("T", predicted[t - 1], predicted[t])] -= 1
-    return delta
+def _update(table, j, d, step) -> None:
+    """Add ``d`` to weight ``j`` of a (weights, totals, stamps) row triple.
+
+    Lazy averaging: ``totals`` gains the old weight once per step since the
+    last update, so the average needs no pass over untouched weights.
+    """
+    weights, totals, stamps = table
+    totals[j] += (step - 1 - stamps[j]) * weights[j]
+    stamps[j] = step - 1
+    weights[j] += d
 
 
 def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
@@ -235,21 +284,28 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
 
     Weights stay integral during training (updates are feature-count
     differences), so averaging is an exact rational and runs with the same
-    seed produce bit-identical models.
+    seed produce bit-identical models.  They are kept as feature -> per-label
+    rows and a label x label transition matrix, each with its averaging rows.
     """
     config = config or TrainConfig()
-    sequences = _training_sequences(corpus)
-    if not sequences:
-        raise EmptyCorpus("no (sentence, frame) training sequences in corpus")
     roles = {
         s.label for sent in corpus.sentences for f in sent.frames for s in f.spans
     }
     labels = build_label_set(roles)
-    weights: dict = {}
-    totals: dict = {}
-    stamp: dict = {}
-    emissions: dict = {}
-    transitions: dict = {}
+    sequences = _training_sequences(corpus, {lab: j for j, lab in enumerate(labels)})
+    if not sequences:
+        raise EmptyCorpus("no (sentence, frame) training sequences in corpus")
+    grammar = compile_grammar(tuple(labels))
+    size = len(labels)
+
+    def new_rows():
+        return [0] * size, [0] * size, [0] * size
+
+    emissions: dict = {}  # feature -> (weights, totals, stamps) over labels
+    transitions = [new_rows() for _ in labels]  # previous label -> rows
+    trans = [weights for weights, _, _ in transitions]
+    predecessors = list(enumerate(grammar.predecessors))
+    zero = [0] * size
     step = 0
     rng = random.Random(config.seed)
     order = list(range(len(sequences)))
@@ -258,34 +314,36 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
         for index in order:
             step += 1
             feats, gold, predicate_pos = sequences[index]
-            predicted = _viterbi(labels, emissions, transitions, feats, predicate_pos)
+            emit = []
+            for token_feats in feats:
+                row = zero
+                for f in token_feats:
+                    rows = emissions.get(f)
+                    if rows:
+                        row = list(map(add, row, rows[0]))
+                emit.append(row)
+            columns = [[trans[k][j] for k in preds] for j, preds in predecessors]
+            predicted = _viterbi(grammar, emit, columns, predicate_pos)
             if predicted == gold:
                 continue
-            for key, d in _sequence_delta(feats, gold, predicted).items():
-                if not d:
-                    continue
-                old = weights.get(key, 0)
-                totals[key] = totals.get(key, 0) + (step - 1 - stamp.get(key, 0)) * old
-                stamp[key] = step - 1
-                new = old + d
-                weights[key] = new
-                target = emissions if key[0] == "E" else transitions
-                if new:
-                    target[key[1:]] = new
-                else:
-                    target.pop(key[1:], None)
-    final: dict = {}
-    if config.averaged:
-        for key, w in weights.items():
-            summed = totals.get(key, 0) + (step - stamp.get(key, 0)) * w
-            if summed:
-                final[key] = summed / step
-    else:
-        final = {key: float(w) for key, w in weights.items() if w}
+            for t, (g, p) in enumerate(zip(gold, predicted)):
+                if g != p:
+                    for f in feats[t]:
+                        if f not in emissions:
+                            emissions[f] = new_rows()
+                        _update(emissions[f], g, 1, step)
+                        _update(emissions[f], p, -1, step)
+                if t and (gold[t - 1], g) != (predicted[t - 1], p):
+                    _update(transitions[gold[t - 1]], g, 1, step)
+                    _update(transitions[predicted[t - 1]], p, -1, step)
     model = TaggerModel(labels=labels)
-    for key, w in final.items():
-        target = model.emissions if key[0] == "E" else model.transitions
-        target[key[1:]] = w
+    tables = [(model.emissions, f, rows) for f, rows in emissions.items()]
+    tables += [(model.transitions, labels[k], rows) for k, rows in enumerate(transitions)]
+    for target, first, (weights, totals, stamps) in tables:
+        for lab, w, total, stamp in zip(labels, weights, totals, stamps):
+            summed = total + (step - stamp) * w
+            if summed:
+                target[(first, lab)] = summed / step
     return model
 
 
@@ -362,16 +420,21 @@ def parse_model(data: bytes) -> TaggerModel:
             weight = float(raw)
         except ValueError:
             raise ParseError(f"bad weight {raw!r}", n) from None
+        if not math.isfinite(weight):
+            raise ParseError(f"non-finite weight {raw!r}", n)
         if kind == "E":
             if b not in known:
                 raise ParseError(f"unknown label {b!r}", n)
-            model.emissions[(a, b)] = weight
+            target = model.emissions
         elif kind == "T":
             if a not in known or b not in known:
                 raise ParseError(f"unknown label in transition {a!r} -> {b!r}", n)
-            model.transitions[(a, b)] = weight
+            target = model.transitions
         else:
             raise ParseError(f"unknown row kind {kind!r}", n)
+        if (a, b) in target:
+            raise ParseError(f"duplicate {kind} row for {a!r} -> {b!r}", n)
+        target[(a, b)] = weight
     return model
 
 

@@ -8,12 +8,14 @@ import random
 
 from l2srl.corpus import Corpus, SentencePair
 from l2srl.model import (
+    REL_TAG,
     Alignment,
     AnnotatedSentence,
     Frame,
     Span,
     Token,
 )
+from l2srl.tagger import _can_end, _can_follow, _can_start
 
 VOCAB = ("wa", "ni", "de", "ta", "shi", "ren", "chi", "zuo", "hao", "lai")
 
@@ -161,6 +163,54 @@ def brute_force_shared(links, l2_tuples, l1_tuples, coarse):
     matched_l2 = {t for t in l2_tuples if any(linked(t, u) for u in l1_tuples)}
     matched_l1 = {u for u in l1_tuples if any(linked(t, u) for t in l2_tuples)}
     return matched_l2, matched_l1
+
+
+def reference_viterbi(labels, emissions, transitions, feats, predicate_pos):
+    """String-keyed grammar-constrained Viterbi straight from the predicates.
+
+    Re-checks ``_can_follow`` and looks the weights up by tag strings at
+    every cell; ties break toward earlier labels.  Returns tag strings.
+    """
+    n = len(feats)
+    neg = float("-inf")
+    emit = [
+        [sum(emissions.get((f, lab), 0) for f in feats[t]) for lab in labels]
+        for t in range(n)
+    ]
+
+    def allowed(t, lab):
+        if t == predicate_pos:
+            return lab == REL_TAG
+        return lab != REL_TAG
+
+    scores = [[neg] * len(labels) for _ in range(n)]
+    back = [[-1] * len(labels) for _ in range(n)]
+    for j, lab in enumerate(labels):
+        if allowed(0, lab) and _can_start(lab):
+            scores[0][j] = emit[0][j]
+    for t in range(1, n):
+        for j, lab in enumerate(labels):
+            if not allowed(t, lab):
+                continue
+            best, best_k = neg, -1
+            for k, prev in enumerate(labels):
+                if scores[t - 1][k] == neg or not _can_follow(prev, lab):
+                    continue
+                candidate = scores[t - 1][k] + transitions.get((prev, lab), 0)
+                if candidate > best:
+                    best, best_k = candidate, k
+            if best_k >= 0:
+                scores[t][j] = best + emit[t][j]
+                back[t][j] = best_k
+    best, best_j = neg, -1
+    for j, lab in enumerate(labels):
+        if scores[n - 1][j] > best and _can_end(lab):
+            best, best_j = scores[n - 1][j], j
+    path = [best_j]
+    for t in range(n - 1, 0, -1):
+        path.append(back[t][path[-1]])
+    path.reverse()
+    return [labels[j] for j in path]
 
 
 HELD_OUT_AGENTS = ["nilo", "pexa", "quib", "rost"]

@@ -216,6 +216,13 @@ def test_tag_version_mismatch_exit_5(tmp_path):
     assert main(["tag", str(model_file), toy_file, str(tmp_path / "out.tsv")]) == 5
 
 
+def test_tag_non_finite_model_exit_2(tmp_path):
+    toy_file = write(tmp_path / "toy.tsv", toy_separable_corpus())
+    model_file = tmp_path / "nan.txt"
+    model_file.write_bytes(b"SRLMODEL v1\nO\trel\nT\tO\tO\tnan\n")
+    assert main(["tag", str(model_file), toy_file, str(tmp_path / "out.tsv")]) == 2
+
+
 def test_retrain_end_to_end(tmp_path, capsys):
     config = build_retrain_fixture(tmp_path / "fix", pool_pairs=20, good_pairs=5)
     assert main(["retrain", "--config", str(config)]) == 0

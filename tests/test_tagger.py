@@ -1,14 +1,17 @@
 """Feature extraction, constrained decoding vs exhaustive search, perceptron
 training, and model persistence."""
 
+import hashlib
 import random
 
 import pytest
 
-from helpers import corpus, frame, sent, toy_separable_corpus
+from helpers import corpus, frame, reference_viterbi, sent, toy_separable_corpus
+from l2srl.corpus import render_corpus
 from l2srl.errors import (
     EmptyCorpus,
     InvalidPredicateIndex,
+    NoValidPath,
     ParseError,
     VersionMismatch,
 )
@@ -17,7 +20,11 @@ from l2srl.scoring import score
 from l2srl.tagger import (
     TaggerModel,
     TrainConfig,
+    _can_end,
+    _can_follow,
+    _can_start,
     build_label_set,
+    compile_grammar,
     extract_features,
     load_model,
     parse_model,
@@ -151,6 +158,76 @@ def test_viterbi_matches_exhaustive_search():
         spans_from_tags(decoded)  # strict-decodable
 
 
+TEN_ROLES = ("A0", "A1", "A2", "A3", "A4", "AM", "AM-ADV", "AM-LOC", "AM-MNR", "AM-TMP")
+
+
+def test_compiled_grammar_matches_reference_predicates():
+    labels = build_label_set(TEN_ROLES)
+    grammar = compile_grammar(tuple(labels))
+    assert labels[grammar.rel] == "rel"
+    for j, lab in enumerate(labels):
+        assert grammar.predecessors[j] == tuple(
+            k for k, prev in enumerate(labels) if _can_follow(prev, lab)
+        )
+        assert grammar.ends[j] == _can_end(lab)
+    assert grammar.starts == tuple(j for j, lab in enumerate(labels) if _can_start(lab))
+
+
+def test_decoder_matches_reference_decoder_on_random_models():
+    """Identical tag lists, tie-breaks included, on 240 seeded random models."""
+    rng = random.Random(2024)
+    float_pool = (0.1, 0.2, 0.3, -0.7, 1e16, -1e16, 2.5)
+    for trial in range(240):
+        roles = rng.sample(TEN_ROLES, rng.randint(1, 10))
+        labels = build_label_set(roles)
+        model = TaggerModel(labels=labels)
+        n = rng.randint(1, 12)
+        s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
+        pred = rng.randint(1, n)
+        feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
+        kind = trial % 3  # small ints (dense ties), uniform floats, order-sensitive floats
+        def weight():
+            if kind == 0:
+                return rng.randint(-1, 1)
+            if kind == 1:
+                return rng.uniform(-5, 5)
+            return rng.choice(float_pool)
+        density = rng.choice((0.0, 0.1, 0.5))
+        for f in {f for fs in feats for f in fs}:
+            for lab in labels:
+                if rng.random() < density:
+                    model.emissions[(f, lab)] = weight()
+        for a in labels:
+            for b in labels:
+                if rng.random() < density:
+                    model.transitions[(a, b)] = weight()
+        expected = reference_viterbi(
+            labels, model.emissions, model.transitions, feats, pred - 1
+        )
+        assert viterbi_decode(model, s, pred) == expected, trial
+
+
+def test_decoder_raises_when_no_valid_path():
+    model = TaggerModel.empty(("A0",))
+    for a in model.labels:
+        for b in model.labels:
+            model.transitions[(a, b)] = float("nan")
+    s = sent("s1", ["a", "b", "c"])
+    with pytest.raises(NoValidPath):
+        viterbi_decode(model, s, 3)
+
+
+def test_toy_model_and_decodes_pinned():
+    toy = toy_separable_corpus()
+    model = train(toy, TrainConfig(epochs=10, seed=1))
+    assert hashlib.sha256(render_model(model)).hexdigest() == (
+        "dc044842b550cdd92ab82dbb04a0827d0a6213d4c44ecc23904a03433efa3ff0"
+    )
+    assert hashlib.sha256(render_corpus(tag_corpus(model, toy))).hexdigest() == (
+        "dff0021374eab51f8f0939566d5ec72db8979e22a2fae00cd19840bd8160eca3"
+    )
+
+
 def test_train_converges_on_separable_toy_corpus():
     toy = toy_separable_corpus()
     model = train(toy, TrainConfig(epochs=10, seed=1))
@@ -251,6 +328,24 @@ def test_model_file_errors():
     data = render_model(model)
     with pytest.raises(ParseError):
         parse_model(data[: len(data) // 2])  # truncated mid-file
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_model_rejects_non_finite_weights(raw):
+    data = f"SRLMODEL v1\nO\trel\nT\tO\tO\t1.0\nE\tw0=a\tO\t{raw}\n".encode()
+    with pytest.raises(ParseError, match="non-finite") as info:
+        parse_model(data)
+    assert info.value.line == 4
+
+
+@pytest.mark.parametrize("rows", [
+    "E\tw0=a\tO\t1.0\nE\tw0=a\tO\t2.0\n",
+    "T\tO\trel\t1.0\nT\tO\trel\t1.0\n",
+])
+def test_model_rejects_duplicate_rows(rows):
+    with pytest.raises(ParseError, match="duplicate") as info:
+        parse_model(f"SRLMODEL v1\nO\trel\n{rows}".encode())
+    assert info.value.line == 4
 
 
 def test_save_load_files(tmp_path):
