@@ -117,6 +117,12 @@ def _lines(data: bytes) -> list[str]:
     return text.split("\n")[:-1]
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of 0-9 only; ``int()`` would also take
+    signs, surrounding spaces and non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_corpus(data: bytes) -> Corpus:
     """Parse corpus bytes; raises ParseError with a line number on bad input."""
     lines = _lines(data)
@@ -170,10 +176,9 @@ def _parse_block(lines, i, ids):
             raise ParseError(
                 f"bad column count: expected {3 + n_frames}, got {len(cells)}", i + 1
             )
-        try:
-            index = int(cells[0])
-        except ValueError:
-            raise ParseError(f"non-integer token index {cells[0]!r}", i + 1) from None
+        if not _is_ascii_digits(cells[0]):
+            raise ParseError(f"non-integer token index {cells[0]!r}", i + 1)
+        index = int(cells[0])
         if index != len(tokens) + 1:
             raise ParseError(
                 f"token index {index} out of sequence (expected {len(tokens) + 1})",
@@ -265,7 +270,7 @@ def parse_alignments(data: bytes) -> dict[str, Alignment]:
         if rest:
             for item in rest.split(" "):
                 left, sep, right = item.partition("-")
-                if not sep or not left.isdigit() or not right.isdigit():
+                if not sep or not _is_ascii_digits(left) or not _is_ascii_digits(right):
                     raise ParseError(f"malformed link {item!r}", n)
                 links.add((int(left), int(right)))
         result[pair_id] = Alignment(pair_id, frozenset(links))

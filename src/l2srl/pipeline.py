@@ -232,16 +232,22 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
     train_config = TrainConfig(epochs=config.epochs, seed=config.seed)
     out = config.out
 
+    # Parse every input before training, so a malformed file fails fast.
+    base_corpus = load_corpus(config.train)
+    pool_l2 = load_corpus(config.pool_l2)
+    pool_l1 = load_corpus(config.pool_l1)
+    alignments = None
+    if config.alignments != "heuristic":
+        alignments = load_alignments(config.alignments)
+    eval_corpora = {split: load_corpus(getattr(config, split)) for split in EVAL_SPLITS}
+
     baseline_dir = os.path.join(out, "baseline")
     os.makedirs(baseline_dir, exist_ok=True)
-    base_corpus = load_corpus(config.train)
     baseline_model = train(base_corpus, train_config)
     save_model(baseline_model, os.path.join(baseline_dir, "model.txt"))
 
     pool_dir = os.path.join(out, "pool")
     os.makedirs(pool_dir, exist_ok=True)
-    pool_l2 = load_corpus(config.pool_l2)
-    pool_l1 = load_corpus(config.pool_l1)
     if config.tag_pool:
         pool_l2 = tag_corpus(baseline_model, pool_l2)
         pool_l1 = tag_corpus(baseline_model, pool_l1)
@@ -250,10 +256,8 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
 
     selection_dir = os.path.join(out, "selection")
     os.makedirs(selection_dir, exist_ok=True)
-    if config.alignments == "heuristic":
+    if alignments is None:
         alignments = _heuristic_alignments(pool_l2, pool_l1)
-    else:
-        alignments = load_alignments(config.alignments)
     pairs = pair_corpora(pool_l2, pool_l1, alignments)
     selection_config = SelectionConfig(p=config.p)
     recalls = [recall_pair(pair, config.am_coarse) for pair in pairs]
@@ -283,12 +287,7 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
 
     baseline_scores = {}
     retrained_scores = {}
-    for split, path in (
-        ("dev", config.dev),
-        ("test_l2", config.test_l2),
-        ("test_l1", config.test_l1),
-    ):
-        eval_corpus = load_corpus(path)
+    for split, eval_corpus in eval_corpora.items():
         baseline_scores[split] = _evaluate(baseline_model, eval_corpus, config.am_coarse)
         retrained_scores[split] = _evaluate(retrained_model, eval_corpus, config.am_coarse)
     return RetrainReport(

@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -176,23 +177,30 @@ def compile_grammar(labels: tuple) -> Grammar:
     )
 
 
-def _viterbi(grammar: Grammar, emit, columns, predicate_pos: int) -> list[int]:
+def _lattice(grammar: Grammar, matrix) -> tuple:
+    """The Viterbi lattice: per label ``j``, ``(j, pairs)`` where ``pairs``
+    holds ``(k, matrix[k][j])`` for each legal predecessor ``k`` in order;
+    ``matrix[k][j]`` weighs the transition from label ``k`` to ``j``."""
+    return tuple(
+        (j, tuple([(k, matrix[k][j]) for k in preds]))
+        for j, preds in enumerate(grammar.predecessors)
+    )
+
+
+def _viterbi(grammar: Grammar, emit, lattice, predicate_pos: int) -> list[int]:
     """Best grammar-valid label-index sequence; ties break toward earlier labels.
 
-    ``emit[t][j]`` scores label ``j`` at token ``t``; ``columns[j][i]`` is the
-    weight of the transition into ``j`` from ``grammar.predecessors[j][i]``.
-    The predicate token takes ``rel`` and every other token anything but
-    ``rel``.  Raises NoValidPath when no valid sequence has a finite score.
+    ``emit[t][j]`` scores label ``j`` at token ``t``; ``lattice`` is the
+    transition lattice ``_lattice`` built for ``grammar``.  The predicate
+    token takes ``rel`` and every other token anything but ``rel``.  Raises
+    NoValidPath when no valid sequence has a finite score.
     """
     n = len(emit)
     neg = float("-inf")
     rel = grammar.rel
     size = len(grammar.ends)
-    lattice = [
-        (j, tuple(zip(preds, weights)))
-        for j, (preds, weights) in enumerate(zip(grammar.predecessors, columns))
-    ]
-    only_rel = [lattice.pop(rel)]
+    only_rel = lattice[rel : rel + 1]
+    others = lattice[:rel] + lattice[rel + 1 :]
     scores = [neg] * size
     for j in grammar.starts:
         if (j == rel) == (predicate_pos == 0):
@@ -202,7 +210,7 @@ def _viterbi(grammar: Grammar, emit, columns, predicate_pos: int) -> list[int]:
         prev, row = scores, emit[t]
         scores = [neg] * size
         pointers = [-1] * size
-        for j, pairs in only_rel if t == predicate_pos else lattice:
+        for j, pairs in only_rel if t == predicate_pos else others:
             best, best_k = neg, -1
             for k, w in pairs:
                 candidate = prev[k] + w
@@ -225,32 +233,68 @@ def _viterbi(grammar: Grammar, emit, columns, predicate_pos: int) -> list[int]:
     return path
 
 
+class _Scorer:
+    """Decoding state of one model, shared by the frames of one ``tag`` call.
+
+    Holds the compiled grammar, the transition lattice and a memo from
+    feature to its per-label emission row (``None`` when every weight is
+    zero).  It reads the model's weights once, so it must not outlive a
+    call: callers may change the model's dicts between calls.
+    """
+
+    def __init__(self, model: TaggerModel):
+        labels = model.labels
+        index = {lab: j for j, lab in enumerate(labels)}
+        matrix = [[0] * len(labels) for _ in labels]
+        for (prev, lab), w in model.transitions.items():
+            if prev in index and lab in index:
+                matrix[index[prev]][index[lab]] = w
+        self.labels = labels
+        self.grammar = compile_grammar(tuple(labels))
+        self.lattice = _lattice(self.grammar, matrix)
+        self.emission = model.emissions.get
+        self.rows: dict = {}
+        self.zero = [0] * len(labels)
+
+    def emit(self, sentence: AnnotatedSentence, predicate_index: int) -> list:
+        """Per token, the emission score of each label for one predicate."""
+        labels, emission, rows = self.labels, self.emission, self.rows
+        emit = []
+        for i in range(1, len(sentence.tokens) + 1):
+            # Adding the rows per label in feature order, as sum() would, keeps
+            # float sums unchanged; skipping a row of zeros, or sum()'s leading
+            # int 0, can only flip the sign of a zero score, which no
+            # comparison or later non-zero sum sees.
+            row = self.zero
+            for f in extract_features(sentence, predicate_index, i):
+                if f not in rows:
+                    # emission((f, label), 0) for every label, in order
+                    weights = list(map(emission, zip(repeat(f), labels), self.zero))
+                    rows[f] = weights if any(weights) else None
+                if hit := rows[f]:
+                    row = hit if row is self.zero else list(map(add, row, hit))
+            emit.append(row)
+        return emit
+
+
 def viterbi_decode(
-    model: TaggerModel, sentence: AnnotatedSentence, predicate_index: int
+    model: TaggerModel,
+    sentence: AnnotatedSentence,
+    predicate_index: int,
+    scorer: _Scorer | None = None,
 ) -> list[str]:
-    """Decode the best tag sequence for one predicate of a sentence."""
+    """Decode the best tag sequence for one predicate of a sentence.
+
+    ``scorer`` is the state ``tag`` shares across one sentence's frames;
+    without it a fresh one is built from ``model``.
+    """
     n = len(sentence.tokens)
     if not 1 <= predicate_index <= n:
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
-    labels = model.labels
-    emission = model.emissions.get
-    rows: dict = {}  # feature -> its weight per label, looked up once per decode
-    emit = []
-    for i in range(1, n + 1):
-        feats = extract_features(sentence, predicate_index, i)
-        for f in feats:
-            if f not in rows:
-                rows[f] = [emission((f, lab), 0) for lab in labels]
-        # sum() per label over the features in order keeps float sums unchanged
-        emit.append(list(map(sum, zip(*[rows[f] for f in feats]))))
-    grammar = compile_grammar(tuple(labels))
-    transition = model.transitions.get
-    columns = [
-        [transition((labels[k], lab), 0) for k in preds]
-        for lab, preds in zip(labels, grammar.predecessors)
-    ]
-    path = _viterbi(grammar, emit, columns, predicate_index - 1)
-    return [labels[j] for j in path]
+    scorer = scorer or _Scorer(model)
+    emit = scorer.emit(sentence, predicate_index)
+    path = _viterbi(scorer.grammar, emit, scorer.lattice, predicate_index - 1)
+    return [scorer.labels[j] for j in path]
 
 
 def _training_sequences(corpus: Corpus, index: dict):
@@ -304,8 +348,8 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     emissions: dict = {}  # feature -> (weights, totals, stamps) over labels
     transitions = [new_rows() for _ in labels]  # previous label -> rows
     trans = [weights for weights, _, _ in transitions]
-    predecessors = list(enumerate(grammar.predecessors))
     zero = [0] * size
+    lattice = None  # rebuilt after a step that updates a transition weight
     step = 0
     rng = random.Random(config.seed)
     order = list(range(len(sequences)))
@@ -322,8 +366,9 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
                     if rows:
                         row = list(map(add, row, rows[0]))
                 emit.append(row)
-            columns = [[trans[k][j] for k in preds] for j, preds in predecessors]
-            predicted = _viterbi(grammar, emit, columns, predicate_pos)
+            if lattice is None:
+                lattice = _lattice(grammar, trans)
+            predicted = _viterbi(grammar, emit, lattice, predicate_pos)
             if predicted == gold:
                 continue
             for t, (g, p) in enumerate(zip(gold, predicted)):
@@ -336,6 +381,7 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
                 if t and (gold[t - 1], g) != (predicted[t - 1], p):
                     _update(transitions[gold[t - 1]], g, 1, step)
                     _update(transitions[predicted[t - 1]], p, -1, step)
+                    lattice = None
     model = TaggerModel(labels=labels)
     tables = [(model.emissions, f, rows) for f, rows in emissions.items()]
     tables += [(model.transitions, labels[k], rows) for k, rows in enumerate(transitions)]
@@ -358,9 +404,10 @@ def tag(
     for index in indices:
         if not 1 <= index <= n:
             raise InvalidPredicateIndex(f"predicate index {index} outside 1..{n}")
+    scorer = _Scorer(model) if indices else None
     frames = []
     for index in sorted(indices):
-        tags = viterbi_decode(model, sentence, index)
+        tags = viterbi_decode(model, sentence, index, scorer)
         frames.append(spans_from_tags(tags))
     return replace(sentence, frames=tuple(frames))
 

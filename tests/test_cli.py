@@ -11,6 +11,7 @@ from helpers import (
     sent,
     toy_separable_corpus,
 )
+from l2srl import pipeline
 from l2srl.cli import main
 from l2srl.corpus import Corpus, load_corpus, parse_corpus, render_corpus
 from l2srl.scoring import score
@@ -265,3 +266,21 @@ def test_emitted_corpora_reparse(tmp_path):
     for name in ("selected_l2.tsv", "selected_l1.tsv"):
         data = (out / name).read_bytes()
         assert render_corpus(parse_corpus(data)) == data
+
+
+def test_retrain_rejects_bad_eval_file_before_training(tmp_path, monkeypatch, capsys):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    test_l1 = tmp_path / "fix" / "test_l1.tsv"
+    lines = test_l1.read_bytes().count(b"\n")
+    test_l1.write_bytes(test_l1.read_bytes() + b"garbage\n")
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args)
+        return original_train(*args, **kwargs)
+
+    original_train = pipeline.train
+    monkeypatch.setattr(pipeline, "train", counting_train)
+    assert main(["retrain", "--config", str(config)]) == 2
+    assert f"line {lines + 1}" in capsys.readouterr().err
+    assert calls == []

@@ -110,6 +110,14 @@ def test_parse_error_line_numbers():
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("index", ["²", "١", " 2", "+2"])
+def test_token_index_must_be_ascii_digits(index):
+    data = MINIMAL.replace(b"2\teats", index.encode() + b"\teats")
+    with pytest.raises(ParseError) as err:
+        parse_corpus(data)
+    assert err.value.line == 6
+
+
 def test_header_order_and_spacing_enforced():
     swapped = MINIMAL.replace(
         b"# id = s1\n# lang = ENG\n", b"# lang = ENG\n# id = s1\n"
@@ -141,6 +149,15 @@ def test_alignment_parse_examples():
     assert err.value.line == 1
     with pytest.raises(ParseError):
         parse_alignments(b"p1\t0-0\np1\t1-1\n")
+
+
+@pytest.mark.parametrize("index", ["²", "١", " 2", "+2"])
+def test_alignment_indices_must_be_ascii_digits(index):
+    for link in (f"0-{index}", f"{index}-0"):
+        data = f"p0\t0-0\np1\t1-1 {link}\n".encode()
+        with pytest.raises(ParseError) as err:
+            parse_alignments(data)
+        assert err.value.line == 2
 
 
 def test_alignment_duplicate_links_collapse():

@@ -207,6 +207,91 @@ def test_decoder_matches_reference_decoder_on_random_models():
         assert viterbi_decode(model, s, pred) == expected, trial
 
 
+def test_tag_matches_reference_decoder_on_multi_frame_sentences():
+    """``tag`` shares one scorer across a sentence's frames; each frame must
+    still be exactly the reference decode, tie-breaks and zero signs included."""
+    rng = random.Random(4051)
+    pools = (
+        (0.1, 0.2, 0.3, -0.7, 1e16, -1e16, 2.5),
+        (-0.0, -0.0, 0.0, 0, 0.1, -0.1, 1e16, -1e16),
+    )
+    for trial in range(160):
+        labels = build_label_set(rng.sample(TEN_ROLES, rng.randint(1, 6)))
+        model = TaggerModel(labels=labels)
+        n = rng.randint(2, 12)
+        s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
+        predicates = rng.sample(range(1, n + 1), rng.randint(2, min(4, n)))
+        feats = {
+            p: [extract_features(s, p, i) for i in range(1, n + 1)] for p in predicates
+        }
+        kind = trial % 4  # small ints, uniform floats, order-sensitive, signed zeros
+        def weight():
+            if kind == 0:
+                return rng.randint(-1, 1)
+            if kind == 1:
+                return rng.uniform(-5, 5)
+            return rng.choice(pools[kind - 2])
+        density = rng.choice((0.0, 0.1, 0.5))
+        for f in sorted({f for fs in feats.values() for t in fs for f in t}):
+            for lab in labels:
+                if rng.random() < density:
+                    model.emissions[(f, lab)] = weight()
+        for a in labels:
+            for b in labels:
+                if rng.random() < density:
+                    model.transitions[(a, b)] = weight()
+        expected = tuple(
+            spans_from_tags(
+                reference_viterbi(labels, model.emissions, model.transitions, feats[p], p - 1)
+            )
+            for p in sorted(predicates)
+        )
+        assert tag(model, s, predicates).frames == expected, trial
+
+
+class _CountingDict(dict):
+    """A dict that counts the lookups made through ``get`` and ``[]``."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+
+def test_tag_looks_up_each_feature_once_per_call():
+    model = train(toy_separable_corpus(), TrainConfig(epochs=3, seed=1))
+    model.emissions = _CountingDict(model.emissions)
+    s = sent("s1", ["kip", "runsa", "lem", "soon", "bron", "dell", "zun"])
+    predicates = [2, 4, 6]
+    distinct = {
+        f for p in predicates for i in range(1, 8) for f in extract_features(s, p, i)
+    }
+    per_frame = sum(
+        len({f for i in range(1, 8) for f in extract_features(s, p, i)}) for p in predicates
+    )
+    assert len(distinct) < per_frame  # the frames share predicate-free features
+    tagged = tag(model, s, predicates)
+    assert model.emissions.probes <= len(model.labels) * len(distinct)
+    assert tagged.frames == tuple(
+        spans_from_tags(viterbi_decode(model, s, p)) for p in predicates
+    )
+
+
+def test_tag_sees_weights_changed_between_calls():
+    model = TaggerModel.empty(("A0",))
+    s = sent("s1", ["a", "b", "c"])
+    assert tag(model, s, [2]).frames == (frame(2),)
+    model.emissions[("w0=a", "S-A0")] = 1.0
+    assert tag(model, s, [2]).frames == (frame(2, (1, 1, "A0")),)
+    model.transitions[("rel", "S-A0")] = 2.0
+    assert tag(model, s, [2]).frames == (frame(2, (1, 1, "A0"), (3, 3, "A0")),)
+
+
 def test_decoder_raises_when_no_valid_path():
     model = TaggerModel.empty(("A0",))
     for a in model.labels:
