@@ -116,9 +116,7 @@ def recall_pair(pair: SentencePair, am_coarse: bool = True) -> PairRecall:
     """Tuple recalls of one pair; pairs with an empty side are ineligible."""
     l2_tuples = extract_tuples(pair.l2)
     l1_tuples = extract_tuples(pair.l1)
-    matched_l2, matched_l1 = match_tuples(
-        pair.alignment.links, l2_tuples, l1_tuples, am_coarse
-    )
+    matched_l2, matched_l1 = shared_tuples(pair, l2_tuples, l1_tuples, am_coarse)
     return PairRecall(
         total_l2=len(l2_tuples),
         total_l1=len(l1_tuples),

@@ -6,18 +6,17 @@ Exit codes: 0 ok, 2 file parse error, 3 corpus mismatch, 4 pairing error,
 """
 
 import argparse
-import json
 import os
 import sys
 
 from l2srl import agreement, oracle, pipeline, scoring, tagger
 from l2srl.corpus import (
-    Corpus,
     load_alignments,
     load_corpus,
     pair_corpora,
     save_alignments,
     save_corpus,
+    write_atomic,
 )
 from l2srl.errors import (
     MismatchedCorpora,
@@ -32,14 +31,22 @@ EXIT_MISMATCH = 3
 EXIT_PAIRING = 4
 EXIT_VERSION = 5
 
+FORMATS = ("text", "tsv", "json")
 
-def _common_flags(sub):
-    sub.add_argument("--am-coarse", action="store_true", default=None,
-                     help="collapse adjunct subtypes (AM-TMP == AM)")
-    sub.add_argument("--seed", type=int, default=None, help="random seed")
-    sub.add_argument("--out", default=None, help="directory for report files")
-    sub.add_argument("--format", choices=("text", "tsv", "json"), default="text",
-                     help="report format printed to stdout")
+# Options shared by several subcommands; each subcommand takes only the ones
+# it reads, so argparse rejects the rest.
+_FLAGS = {
+    "--am-coarse": dict(action="store_true", default=None,
+                        help="collapse adjunct subtypes (AM-TMP == AM)"),
+    "--seed": dict(type=int, default=None, help="random seed"),
+    "--out": dict(default=None, help="directory for output files"),
+    "--format": dict(choices=FORMATS, default="text", help="report format printed to stdout"),
+}
+
+
+def _flags(sub, *names):
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,31 +60,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("gold")
     p.add_argument("--group-by", choices=("lang", "side", "lang,side"), default=None)
-    _common_flags(p)
+    _flags(p, "--am-coarse", "--out", "--format")
     p.set_defaults(func=cmd_score)
 
     p = subs.add_parser("iaa", help="inter-annotator agreement between two annotation files")
     p.add_argument("annotator_a")
     p.add_argument("annotator_b")
-    _common_flags(p)
+    _flags(p, "--am-coarse", "--out", "--format")
     p.set_defaults(func=cmd_iaa)
 
     p = subs.add_parser("oracle", help="sequential oracle-transform analysis")
     p.add_argument("pred")
     p.add_argument("gold")
-    _common_flags(p)
+    _flags(p, "--am-coarse", "--out", "--format")
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("tuples", help="extract word-level role tuples")
     p.add_argument("corpus")
-    _common_flags(p)
+    _flags(p, "--out")
     p.set_defaults(func=cmd_tuples)
 
     p = subs.add_parser("align", help="heuristic word alignment for paired corpora")
     p.add_argument("l2")
     p.add_argument("l1")
     p.add_argument("output", help="alignment file to write")
-    _common_flags(p)
     p.set_defaults(func=cmd_align)
 
     p = subs.add_parser("select", help="agreement-based selection of consistent pairs")
@@ -87,42 +93,51 @@ def build_parser() -> argparse.ArgumentParser:
                    help="alignment file, or 'heuristic' (default)")
     p.add_argument("-p", "--threshold", type=float, default=0.9,
                    help="selection threshold (strictly-greater comparison)")
-    _common_flags(p)
+    _flags(p, "--out")
     p.set_defaults(func=cmd_select)
 
     p = subs.add_parser("train", help="train the linear-chain tagger")
     p.add_argument("corpus")
     p.add_argument("model", help="model file to write")
     p.add_argument("--epochs", type=int, default=10)
-    _common_flags(p)
+    _flags(p, "--seed")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("tag", help="tag a corpus at its gold predicate positions")
     p.add_argument("model")
     p.add_argument("corpus")
     p.add_argument("output", help="corpus file to write")
-    _common_flags(p)
     p.set_defaults(func=cmd_tag)
 
     p = subs.add_parser("retrain", help="full selection-and-retraining loop")
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.add_argument("--extend-with", choices=("l1", "l2", "both"), default=None,
                    help="which side of selected pairs extends the training set")
-    _common_flags(p)
+    _flags(p, "--am-coarse", "--seed", "--out", "--format")
     p.set_defaults(func=cmd_retrain)
     return parser
 
 
-def _emit_report(args, report, stem):
-    text = scoring.report_to_text(report, stem)
-    tsv = scoring.report_to_tsv(report)
-    js = scoring.report_to_json(report)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for suffix, body in (("txt", text), ("tsv", tsv), ("json", js)):
-            with open(os.path.join(args.out, f"{stem}.{suffix}"), "w", encoding="utf-8") as f:
-                f.write(body)
-    print({"text": text, "tsv": tsv, "json": js}[args.format], end="")
+def _write(outdir, name, body: str) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    write_atomic(os.path.join(outdir, name), body.encode("utf-8"))
+
+
+def _emit_report(stem, bodies, outdir, fmt) -> None:
+    """Write the text, TSV and JSON ``bodies`` as ``stem.{txt,tsv,json}``
+    under ``outdir`` when one is given, and print the one ``fmt`` names."""
+    if outdir:
+        for suffix, body in zip(("txt", "tsv", "json"), bodies):
+            _write(outdir, f"{stem}.{suffix}", body)
+    print(bodies[FORMATS.index(fmt)], end="")
+
+
+def _score_bodies(report, title):
+    return (
+        scoring.report_to_text(report, title),
+        scoring.report_to_tsv(report),
+        scoring.report_to_json(report),
+    )
 
 
 def cmd_score(args) -> int:
@@ -133,12 +148,11 @@ def cmd_score(args) -> int:
         report = scoring.score_grouped(pred, gold, args.group_by, am_coarse)
     else:
         report = scoring.score(pred, gold, am_coarse)
+    bodies = _score_bodies(report, "score")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         matrix = scoring.confusion_matrix(pred, gold, am_coarse)
-        with open(os.path.join(args.out, "confusion.tsv"), "w", encoding="utf-8") as f:
-            f.write(scoring.confusion_to_tsv(matrix))
-    _emit_report(args, report, "score")
+        _write(args.out, "confusion.tsv", scoring.confusion_to_tsv(matrix))
+    _emit_report("score", bodies, args.out, args.format)
     return 0
 
 
@@ -146,7 +160,7 @@ def cmd_iaa(args) -> int:
     a = load_corpus(args.annotator_a)
     b = load_corpus(args.annotator_b)
     report = scoring.score_grouped(a, b, "lang,side", bool(args.am_coarse))
-    _emit_report(args, report, "iaa")
+    _emit_report("iaa", _score_bodies(report, "iaa"), args.out, args.format)
     return 0
 
 
@@ -154,34 +168,12 @@ def cmd_oracle(args) -> int:
     pred = load_corpus(args.pred)
     gold = load_corpus(args.gold)
     baseline, stages = oracle.oracle_sequence(pred, gold, bool(args.am_coarse))
-    text_lines = [f"baseline      F {scoring.fmt2(baseline.f1):>6}"]
-    tsv_rows = [("f1", "baseline", scoring.fmt2(baseline.f1))]
-    payload = {"baseline": scoring.round2(baseline.f1), "stages": []}
-    for stage in stages:
-        text_lines.append(
-            f"{stage.kind:<12}  F {scoring.fmt2(stage.report.f1):>6}"
-            f"   gap closed {scoring.fmt2(stage.relative_improvement):>6}%"
-        )
-        tsv_rows.append(("f1", stage.kind, scoring.fmt2(stage.report.f1)))
-        tsv_rows.append(
-            ("gap_closed", stage.kind, scoring.fmt2(stage.relative_improvement))
-        )
-        payload["stages"].append(
-            {
-                "kind": stage.kind,
-                "f1": scoring.round2(stage.report.f1),
-                "gap_closed": scoring.round2(stage.relative_improvement),
-            }
-        )
-    text = "\n".join(text_lines) + "\n"
-    tsv = "\n".join("\t".join(r) for r in tsv_rows) + "\n"
-    js = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for suffix, body in (("txt", text), ("tsv", tsv), ("json", js)):
-            with open(os.path.join(args.out, f"oracle.{suffix}"), "w", encoding="utf-8") as f:
-                f.write(body)
-    print({"text": text, "tsv": tsv, "json": js}[args.format], end="")
+    bodies = (
+        scoring.oracle_to_text(baseline, stages),
+        scoring.oracle_to_tsv(baseline, stages),
+        scoring.oracle_to_json(baseline, stages),
+    )
+    _emit_report("oracle", bodies, args.out, args.format)
     return 0
 
 
@@ -193,25 +185,15 @@ def cmd_tuples(args) -> int:
             lines.append(f"{sentence.id}\t{t.predicate}\t{t.argument}\t{t.role}")
     body = "\n".join(lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "tuples.tsv"), "w", encoding="utf-8") as f:
-            f.write(body)
+        _write(args.out, "tuples.tsv", body)
     print(body, end="")
     return 0
-
-
-def _paired(l2: Corpus, l1: Corpus, align_spec: str):
-    if align_spec == "heuristic":
-        alignments = pipeline._heuristic_alignments(l2, l1)
-    else:
-        alignments = load_alignments(align_spec)
-    return pair_corpora(l2, l1, alignments)
 
 
 def cmd_align(args) -> int:
     l2 = load_corpus(args.l2)
     l1 = load_corpus(args.l1)
-    pairs = _paired(l2, l1, "heuristic")
+    pairs = pair_corpora(l2, l1, pipeline.heuristic_alignments(l2, l1))
     save_alignments({p.alignment.pair_id: p.alignment for p in pairs}, args.output)
     print(f"wrote {len(pairs)} alignments to {args.output}")
     return 0
@@ -220,20 +202,15 @@ def cmd_align(args) -> int:
 def cmd_select(args) -> int:
     l2 = load_corpus(args.l2)
     l1 = load_corpus(args.l1)
-    pairs = _paired(l2, l1, args.align)
-    # tuple matching defaults to coarse AM labels unless the caller says otherwise
-    am_coarse = True if args.am_coarse is None else bool(args.am_coarse)
-    config = agreement.SelectionConfig(p=args.threshold)
-    recalls = [agreement.recall_pair(pair, am_coarse) for pair in pairs]
-    chosen = [p for p, r in zip(pairs, recalls) if agreement.is_selected(r, config)]
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "selection.tsv"), "w", encoding="utf-8") as f:
-        f.write(agreement.selection_tsv(pairs, recalls, config))
-    save_corpus(Corpus(tuple(p.l2 for p in chosen)), os.path.join(outdir, "selected_l2.tsv"))
-    save_corpus(Corpus(tuple(p.l1 for p in chosen)), os.path.join(outdir, "selected_l1.tsv"))
+    if args.align == "heuristic":
+        alignments = pipeline.heuristic_alignments(l2, l1)
+    else:
+        alignments = load_alignments(args.align)
+    pairs = pair_corpora(l2, l1, alignments)
+    # tuple matching is always coarse here (AM-TMP == AM)
+    _, chosen = pipeline.select_pairs(pairs, args.threshold, True, args.out or ".")
     ratio = len(chosen) / len(pairs) if pairs else 0.0
-    print(f"pool {len(pairs)}  selected {len(chosen)}  ratio {ratio:.4f}  (p > {config.p})")
+    print(f"pool {len(pairs)}  selected {len(chosen)}  ratio {ratio:.4f}  (p > {args.threshold})")
     return 0
 
 
@@ -262,26 +239,12 @@ def cmd_tag(args) -> int:
 
 def cmd_retrain(args) -> int:
     config = pipeline.load_config(args.config)
-    if args.am_coarse is not None:
-        config.am_coarse = bool(args.am_coarse)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out = args.out
-    if args.extend_with is not None:
-        config.extend_with = args.extend_with
+    for key in ("am_coarse", "seed", "out", "extend_with"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     report = pipeline.run_retrain(config)
-    os.makedirs(config.out, exist_ok=True)
-    text = report.to_text()
-    with open(os.path.join(config.out, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(text)
-    with open(os.path.join(config.out, "report.tsv"), "w", encoding="utf-8") as f:
-        f.write(report.to_tsv())
-    with open(os.path.join(config.out, "report.json"), "w", encoding="utf-8") as f:
-        f.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    print({"text": text, "tsv": report.to_tsv(),
-           "json": json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"}[args.format],
-          end="")
+    bodies = (report.to_text(), report.to_tsv(), scoring.report_to_json(report))
+    _emit_report("report", bodies, config.out, args.format)
     return 0
 
 

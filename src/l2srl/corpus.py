@@ -21,9 +21,11 @@ space-separated links (the link list may be empty).  Split file: one
 ``sentence_id<TAB>split_name`` line per sentence.
 
 Writers emit a canonical form: reading a canonical file and writing it back
-is byte-identical, and write-then-read is value-identical.
+is byte-identical, and write-then-read is value-identical.  Every file the
+package writes goes through ``write_atomic``.
 """
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -97,7 +99,8 @@ class SplitResult:
     test_l1: tuple[AnnotatedSentence, ...]
 
 
-def _check_text(data: bytes) -> str:
+def decode_text(data: bytes) -> str:
+    """UTF-8 text with LF line endings, else ParseError."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -109,7 +112,7 @@ def _check_text(data: bytes) -> str:
 
 
 def _lines(data: bytes) -> list[str]:
-    text = _check_text(data)
+    text = decode_text(data)
     if text == "":
         return []
     if not text.endswith("\n"):
@@ -307,14 +310,27 @@ def render_splits(splits: dict[str, str]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then ``os.replace`` it,
+    so ``path`` holds either its old bytes or all of ``data``."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def load_corpus(path) -> Corpus:
     with open(path, "rb") as f:
         return parse_corpus(f.read())
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "wb") as f:
-        f.write(render_corpus(corpus))
+    write_atomic(path, render_corpus(corpus))
 
 
 def load_alignments(path) -> dict[str, Alignment]:
@@ -323,8 +339,7 @@ def load_alignments(path) -> dict[str, Alignment]:
 
 
 def save_alignments(alignments: dict[str, Alignment], path) -> None:
-    with open(path, "wb") as f:
-        f.write(render_alignments(alignments))
+    write_atomic(path, render_alignments(alignments))
 
 
 def pair_corpora(

@@ -32,10 +32,6 @@ def is_role_label(text: str) -> bool:
     return bool(_ROLE_RE.fullmatch(text))
 
 
-def is_core_label(text: str) -> bool:
-    return text in CORE_LABELS
-
-
 def is_adjunct_label(text: str) -> bool:
     return text == "AM" or text.startswith("AM-")
 

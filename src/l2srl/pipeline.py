@@ -10,6 +10,7 @@ Given one config the whole loop is deterministic.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from l2srl.agreement import (
@@ -25,6 +26,7 @@ from l2srl.corpus import (
     load_corpus,
     pair_corpora,
     save_corpus,
+    write_atomic,
 )
 from l2srl.errors import ParseError
 from l2srl.scoring import (
@@ -36,6 +38,7 @@ from l2srl.scoring import (
 from l2srl.tagger import TrainConfig, save_model, tag_corpus, train
 
 EVAL_SPLITS = ("dev", "test_l2", "test_l1")
+_PATH_KEYS = ("train", "pool_l2", "pool_l1", *EVAL_SPLITS, "out")
 
 
 @dataclass
@@ -64,11 +67,10 @@ class PipelineConfig:
             raise ParseError(f"extend_with must be l1, l2, or both, got {self.extend_with!r}")
         if self.epochs < 1:
             raise ParseError(f"epochs must be >= 1, got {self.epochs}")
-        required = ("train", "pool_l2", "pool_l1", "dev", "test_l2", "test_l1", "out")
-        for name in required:
+        for name in _PATH_KEYS:
             if not getattr(self, name):
                 raise ParseError(f"config key {name!r} is required")
-        paths = [self.train, self.pool_l2, self.pool_l1, self.dev, self.test_l2, self.test_l1]
+        paths = [getattr(self, name) for name in _PATH_KEYS if name != "out"]
         if self.alignments != "heuristic":
             paths.append(self.alignments)
         for path in paths:
@@ -86,7 +88,6 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfig:
     Blank lines and # comments are skipped.
     """
     spec = {f.name: f.type for f in fields(PipelineConfig)}
-    path_keys = {"train", "pool_l2", "pool_l1", "dev", "test_l2", "test_l1", "out"}
     values = {}
     for n, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -112,7 +113,7 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfig:
                 parsed = value
         except (KeyError, ValueError):
             raise ParseError(f"bad value {value!r} for config key {key!r}", n) from None
-        if key in path_keys or (key == "alignments" and parsed != "heuristic"):
+        if key in _PATH_KEYS or (key == "alignments" and parsed != "heuristic"):
             parsed = os.path.normpath(os.path.join(base_dir, parsed))
         values[key] = parsed
     config = PipelineConfig(**values)
@@ -203,7 +204,9 @@ class RetrainReport:
         return "\n".join("\t".join(r) for r in rows) + "\n"
 
 
-def _heuristic_alignments(l2: Corpus, l1: Corpus) -> dict:
+def heuristic_alignments(l2: Corpus, l1: Corpus) -> dict:
+    """Heuristic alignment of every L2 sentence that has an L1 sentence with
+    the same pair id, keyed by pair id."""
     l1_by_pair = {s.pair_id: s for s in l1.sentences}
     out = {}
     for s2 in l2.sentences:
@@ -213,18 +216,37 @@ def _heuristic_alignments(l2: Corpus, l1: Corpus) -> dict:
     return out
 
 
+def select_pairs(pairs, p: float, am_coarse: bool, outdir):
+    """Agreement selection at threshold ``p``: writes ``selection.tsv`` and the
+    chosen pairs' ``selected_l2.tsv`` and ``selected_l1.tsv`` under ``outdir``
+    and returns ``(recalls, chosen)``."""
+    config = SelectionConfig(p=p)
+    recalls = [recall_pair(pair, am_coarse) for pair in pairs]
+    chosen = [pair for pair, recall in zip(pairs, recalls) if is_selected(recall, config)]
+    os.makedirs(outdir, exist_ok=True)
+    write_atomic(
+        os.path.join(outdir, "selection.tsv"),
+        selection_tsv(pairs, recalls, config).encode("utf-8"),
+    )
+    save_corpus(Corpus(tuple(c.l2 for c in chosen)), os.path.join(outdir, "selected_l2.tsv"))
+    save_corpus(Corpus(tuple(c.l1 for c in chosen)), os.path.join(outdir, "selected_l1.tsv"))
+    return recalls, chosen
+
+
 def _evaluate(model, corpus: Corpus, am_coarse: bool) -> ScoreReport:
     return score(tag_corpus(model, corpus), corpus, am_coarse)
 
 
-def _extend(base: Corpus, extra) -> Corpus:
-    known = {s.id for s in base.sentences}
-    clash = [s.id for s in extra if s.id in known]
+def _check_ids(base: Corpus, candidates) -> None:
+    """Reject candidate extension sentences, selected or not, whose id is in
+    ``base`` or on another candidate."""
+    counts = Counter(s.id for s in (*base.sentences, *candidates))
+    clash = [sid for sid, n in counts.items() if n > 1]
     if clash:
         raise ValueError(
-            f"extension sentence ids collide with the training corpus: {clash[:5]}"
+            f"{len(clash)} pool sentence ids collide with the training corpus or "
+            f"the other pool side: {', '.join(clash[:10])}"
         )
-    return Corpus(tuple(base.sentences) + tuple(extra))
 
 
 def run_retrain(config: PipelineConfig) -> RetrainReport:
@@ -232,7 +254,7 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
     train_config = TrainConfig(epochs=config.epochs, seed=config.seed)
     out = config.out
 
-    # Parse every input before training, so a malformed file fails fast.
+    # Parse and check every input before training, so bad input fails fast.
     base_corpus = load_corpus(config.train)
     pool_l2 = load_corpus(config.pool_l2)
     pool_l1 = load_corpus(config.pool_l1)
@@ -240,6 +262,9 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
     if config.alignments != "heuristic":
         alignments = load_alignments(config.alignments)
     eval_corpora = {split: load_corpus(getattr(config, split)) for split in EVAL_SPLITS}
+    sides = [side for side in ("l1", "l2") if config.extend_with in (side, "both")]
+    pool = {"l1": pool_l1, "l2": pool_l2}
+    _check_ids(base_corpus, [s for side in sides for s in pool[side]])
 
     baseline_dir = os.path.join(out, "baseline")
     os.makedirs(baseline_dir, exist_ok=True)
@@ -254,33 +279,17 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
         save_corpus(pool_l2, os.path.join(pool_dir, "pool_l2_tagged.tsv"))
         save_corpus(pool_l1, os.path.join(pool_dir, "pool_l1_tagged.tsv"))
 
-    selection_dir = os.path.join(out, "selection")
-    os.makedirs(selection_dir, exist_ok=True)
     if alignments is None:
-        alignments = _heuristic_alignments(pool_l2, pool_l1)
+        alignments = heuristic_alignments(pool_l2, pool_l1)
     pairs = pair_corpora(pool_l2, pool_l1, alignments)
-    selection_config = SelectionConfig(p=config.p)
-    recalls = [recall_pair(pair, config.am_coarse) for pair in pairs]
-    chosen = [
-        pair for pair, recall in zip(pairs, recalls) if is_selected(recall, selection_config)
-    ]
-    with open(os.path.join(selection_dir, "selection.tsv"), "w", encoding="utf-8") as f:
-        f.write(selection_tsv(pairs, recalls, selection_config))
-    save_corpus(
-        Corpus(tuple(p.l2 for p in chosen)), os.path.join(selection_dir, "selected_l2.tsv")
-    )
-    save_corpus(
-        Corpus(tuple(p.l1 for p in chosen)), os.path.join(selection_dir, "selected_l1.tsv")
+    recalls, chosen = select_pairs(
+        pairs, config.p, config.am_coarse, os.path.join(out, "selection")
     )
 
     retrain_dir = os.path.join(out, "retrained")
     os.makedirs(retrain_dir, exist_ok=True)
-    extra = []
-    if config.extend_with in ("l1", "both"):
-        extra.extend(p.l1 for p in chosen)
-    if config.extend_with in ("l2", "both"):
-        extra.extend(p.l2 for p in chosen)
-    extended = _extend(base_corpus, extra)
+    extra = tuple(getattr(pair, side) for side in sides for pair in chosen)
+    extended = Corpus(base_corpus.sentences + extra)
     save_corpus(extended, os.path.join(retrain_dir, "train_extended.tsv"))
     retrained_model = train(extended, train_config)
     save_model(retrained_model, os.path.join(retrain_dir, "model.txt"))

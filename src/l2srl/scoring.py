@@ -297,7 +297,8 @@ def report_to_tsv(report: ScoreReport) -> str:
     return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
-def report_to_json(report: ScoreReport) -> str:
+def report_to_json(report) -> str:
+    """Sorted, indented JSON of any report with a ``to_dict`` method."""
     return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
@@ -309,3 +310,25 @@ def confusion_to_tsv(matrix: ConfusionMatrix) -> str:
         cells = [str(matrix.counts.get((gold_label, p), 0)) for p in labels]
         lines.append(gold_label + "\t" + "\t".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def oracle_to_text(baseline: ScoreReport, stages) -> str:
+    lines = [f"baseline      F {fmt2(baseline.f1):>6}"]
+    for stage in stages:
+        lines.append(f"{stage.kind:<12}  F {fmt2(stage.report.f1):>6}"
+                     f"   gap closed {fmt2(stage.relative_improvement):>6}%")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_to_tsv(baseline: ScoreReport, stages) -> str:
+    rows = [("f1", "baseline", fmt2(baseline.f1))]
+    for stage in stages:
+        rows.append(("f1", stage.kind, fmt2(stage.report.f1)))
+        rows.append(("gap_closed", stage.kind, fmt2(stage.relative_improvement)))
+    return "\n".join("\t".join(row) for row in rows) + "\n"
+
+
+def oracle_to_json(baseline: ScoreReport, stages) -> str:
+    rows = [{"kind": stage.kind, "f1": round2(stage.report.f1),
+             "gap_closed": round2(stage.relative_improvement)} for stage in stages]
+    return json.dumps({"baseline": round2(baseline.f1), "stages": rows}, indent=2) + "\n"

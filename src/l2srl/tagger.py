@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
-from l2srl.corpus import Corpus
+from l2srl.corpus import Corpus, decode_text, write_atomic
 from l2srl.errors import (
     EmptyCorpus,
     InvalidPredicateIndex,
@@ -436,12 +436,7 @@ def render_model(model: TaggerModel) -> bytes:
 
 
 def parse_model(data: bytes) -> TaggerModel:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}") from None
-    if "\r" in text:
-        raise ParseError("CR/CRLF line endings are not supported (LF required)")
+    text = decode_text(data)
     if not text.endswith("\n"):
         raise ParseError("truncated model file (missing final newline)")
     lines = text.split("\n")[:-1]
@@ -512,5 +507,4 @@ def load_model(path) -> TaggerModel:
 
 
 def save_model(model: TaggerModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(render_model(model))
+    write_atomic(path, render_model(model))

@@ -86,7 +86,7 @@ def random_sentence(rng, sid, n_frames=1, length=None, lang=None, side=None):
     )
 
 
-def random_pred_gold_corpora(rng, n_sentences):
+def random_pred_gold_corpora(rng, n_sentences, labels=("A0", "A1", "A2", "AM")):
     """Same tokenization on both sides, independent random frames."""
     preds, golds = [], []
     for k in range(n_sentences):
@@ -97,10 +97,10 @@ def random_pred_gold_corpora(rng, n_sentences):
         n_frames = rng.randint(0, 2)
         all_preds = sorted(rng.sample(range(1, n + 1), min(3, n)))
         pred_frames = tuple(
-            random_frame(rng, n, p) for p in rng.sample(all_preds, n_frames)
+            random_frame(rng, n, p, labels) for p in rng.sample(all_preds, n_frames)
         )
         gold_frames = tuple(
-            random_frame(rng, n, p)
+            random_frame(rng, n, p, labels)
             for p in rng.sample(all_preds, rng.randint(0, len(all_preds)))
         )
         pred_frames = tuple(sorted(pred_frames, key=lambda f: f.predicate_index))

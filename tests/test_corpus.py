@@ -1,10 +1,12 @@
 """Corpus/alignment/split file formats, pairing, and dataset splitting."""
 
+import os
 import random
 
 import pytest
 
 from helpers import corpus, frame, identity_pair, sent
+import l2srl.corpus
 from l2srl.corpus import (
     Corpus,
     SplitSpec,
@@ -15,8 +17,10 @@ from l2srl.corpus import (
     render_alignments,
     render_corpus,
     render_splits,
+    save_corpus,
     split_dataset,
     splits_table,
+    write_atomic,
 )
 from l2srl.errors import InsufficientData, PairingError, ParseError
 from l2srl.model import Alignment
@@ -292,3 +296,30 @@ def test_random_corpora_round_trip():
         data = render_corpus(c)
         assert parse_corpus(data) == c
         assert render_corpus(parse_corpus(data)) == data
+
+
+def test_write_atomic_replaces_the_whole_file(tmp_path):
+    target = tmp_path / "c.tsv"
+    target.write_bytes(b"old contents\n")
+    save_corpus(parse_corpus(MINIMAL), target)
+    assert target.read_bytes() == MINIMAL
+    assert os.listdir(tmp_path) == ["c.tsv"]
+
+
+def test_failed_render_or_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "c.tsv"
+    target.write_bytes(b"old\n")
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(l2srl.corpus, "render_corpus", fail)
+    with pytest.raises(OSError):
+        save_corpus(parse_corpus(MINIMAL), target)  # render fails
+    with pytest.raises(TypeError):
+        write_atomic(target, "not bytes")  # write fails on the temp file
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write_atomic(target, MINIMAL)  # rename fails
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["c.tsv"]

@@ -193,7 +193,7 @@ def test_decoder_matches_reference_decoder_on_random_models():
                 return rng.uniform(-5, 5)
             return rng.choice(float_pool)
         density = rng.choice((0.0, 0.1, 0.5))
-        for f in {f for fs in feats for f in fs}:
+        for f in sorted({f for fs in feats for f in fs}):
             for lab in labels:
                 if rng.random() < density:
                     model.emissions[(f, lab)] = weight()
