@@ -99,8 +99,9 @@ class SplitResult:
     test_l1: tuple[AnnotatedSentence, ...]
 
 
-def decode_text(data: bytes) -> str:
-    """UTF-8 text with LF line endings, else ParseError."""
+def text_lines(data: bytes) -> list[str]:
+    """The lines of UTF-8 text with LF line endings and a final newline,
+    else ParseError."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -108,11 +109,6 @@ def decode_text(data: bytes) -> str:
     if "\r" in text:
         line = text[: text.index("\r")].count("\n") + 1
         raise ParseError("CR/CRLF line endings are not supported (LF required)", line)
-    return text
-
-
-def _lines(data: bytes) -> list[str]:
-    text = decode_text(data)
     if text == "":
         return []
     if not text.endswith("\n"):
@@ -128,7 +124,7 @@ def _is_ascii_digits(text: str) -> bool:
 
 def parse_corpus(data: bytes) -> Corpus:
     """Parse corpus bytes; raises ParseError with a line number on bad input."""
-    lines = _lines(data)
+    lines = text_lines(data)
     sentences = []
     ids: set[str] = set()
     i = 0
@@ -260,7 +256,7 @@ def render_corpus(corpus: Corpus) -> bytes:
 def parse_alignments(data: bytes) -> dict[str, Alignment]:
     """Parse Pharaoh-style alignment lines into a pair_id -> Alignment map."""
     result: dict[str, Alignment] = {}
-    for n, line in enumerate(_lines(data), start=1):
+    for n, line in enumerate(text_lines(data), start=1):
         cells = line.split("\t")
         if len(cells) != 2:
             raise ParseError("expected 'pair_id<TAB>links'", n)
@@ -293,7 +289,7 @@ def render_alignments(alignments: dict[str, Alignment]) -> bytes:
 def parse_splits(data: bytes) -> dict[str, str]:
     """Parse a split file into a sentence_id -> split_name map."""
     result: dict[str, str] = {}
-    for n, line in enumerate(_lines(data), start=1):
+    for n, line in enumerate(text_lines(data), start=1):
         cells = line.split("\t")
         if len(cells) != 2 or not cells[0] or not cells[1]:
             raise ParseError("expected 'sentence_id<TAB>split_name'", n)

@@ -1,17 +1,17 @@
 """The selection-and-retraining loop over an annotated pool of sentence pairs.
 
-Stages: train a baseline tagger on the base corpus; annotate the pool's L2
-and L1 sides with it (or keep annotations imported from an external system);
-run agreement-based selection at threshold p; extend the training corpus with
-the selected pairs' L1-side sentences (configurable to l2/both); retrain; and
-evaluate both models on the dev and test corpora.  Every stage writes its
-artifacts under a stage-named directory so aborted runs can be inspected.
-Given one config the whole loop is deterministic.
+Stages: pair the pool's L2 and L1 sides; train a baseline tagger on the base
+corpus; annotate the pool's sides with it (or keep annotations imported from
+an external system); run agreement-based selection at threshold p; extend the
+training corpus with the selected pairs' L1-side sentences (configurable to
+l2/both); retrain; and evaluate both models on the dev and test corpora.
+Every stage writes its artifacts under a stage-named directory so aborted
+runs can be inspected.  Given one config the whole loop is deterministic.
 """
 
 import os
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from l2srl.agreement import (
     SelectionConfig,
@@ -265,6 +265,10 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
     sides = [side for side in ("l1", "l2") if config.extend_with in (side, "both")]
     pool = {"l1": pool_l1, "l2": pool_l2}
     _check_ids(base_corpus, [s for side in sides for s in pool[side]])
+    # Alignment and pairing read only ids, sides and forms, which tagging keeps.
+    if alignments is None:
+        alignments = heuristic_alignments(pool_l2, pool_l1)
+    pairs = pair_corpora(pool_l2, pool_l1, alignments)
 
     baseline_dir = os.path.join(out, "baseline")
     os.makedirs(baseline_dir, exist_ok=True)
@@ -278,10 +282,13 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
         pool_l1 = tag_corpus(baseline_model, pool_l1)
         save_corpus(pool_l2, os.path.join(pool_dir, "pool_l2_tagged.tsv"))
         save_corpus(pool_l1, os.path.join(pool_dir, "pool_l1_tagged.tsv"))
+        l2_by_pair = {s.pair_id: s for s in pool_l2.sentences}
+        l1_by_pair = {s.pair_id: s for s in pool_l1.sentences}
+        pairs = [
+            replace(pair, l2=l2_by_pair[pair.l2.pair_id], l1=l1_by_pair[pair.l1.pair_id])
+            for pair in pairs
+        ]
 
-    if alignments is None:
-        alignments = heuristic_alignments(pool_l2, pool_l1)
-    pairs = pair_corpora(pool_l2, pool_l1, alignments)
     recalls, chosen = select_pairs(
         pairs, config.p, config.am_coarse, os.path.join(out, "selection")
     )

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
-from l2srl.corpus import Corpus, decode_text, write_atomic
+from l2srl.corpus import Corpus, text_lines, write_atomic
 from l2srl.errors import (
     EmptyCorpus,
     InvalidPredicateIndex,
@@ -60,7 +60,6 @@ class TaggerModel:
     labels: list[str]
     emissions: dict = field(default_factory=dict)  # (feature, label) -> weight
     transitions: dict = field(default_factory=dict)  # (prev label, label) -> weight
-    version: str = MODEL_VERSION
 
     @classmethod
     def empty(cls, role_labels=()) -> "TaggerModel":
@@ -187,18 +186,32 @@ def _lattice(grammar: Grammar, matrix) -> tuple:
     )
 
 
-def _viterbi(grammar: Grammar, emit, lattice, predicate_pos: int) -> list[int]:
+def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list[int]:
     """Best grammar-valid label-index sequence; ties break toward earlier labels.
 
-    ``emit[t][j]`` scores label ``j`` at token ``t``; ``lattice`` is the
-    transition lattice ``_lattice`` built for ``grammar``.  The predicate
-    token takes ``rel`` and every other token anything but ``rel``.  Raises
-    NoValidPath when no valid sequence has a finite score.
+    ``feats[t]`` lists the features of token ``t`` and ``rows[f]`` holds
+    feature ``f``'s weight per label, or a false value when it has none; a
+    token scores each label by adding its features' rows in feature order.
+    ``lattice`` is the transition lattice ``_lattice`` built for ``grammar``.
+    The predicate token takes ``rel`` and every other token anything but
+    ``rel``.  Raises NoValidPath when no valid sequence has a finite score.
     """
-    n = len(emit)
     neg = float("-inf")
     rel = grammar.rel
     size = len(grammar.ends)
+    zero = [0] * size
+    emit = []
+    for token_feats in feats:
+        # Adding the rows per label in feature order keeps float sums those
+        # of sum(); skipping a missing row, or sum()'s leading int 0, can only
+        # flip the sign of a zero score, which no comparison or later
+        # non-zero sum sees.  A lone row is not copied, so no weight row may
+        # change while this call runs.
+        row = zero
+        for f in token_feats:
+            if hit := rows[f]:
+                row = hit if row is zero else list(map(add, row, hit))
+        emit.append(row)
     only_rel = lattice[rel : rel + 1]
     others = lattice[:rel] + lattice[rel + 1 :]
     scores = [neg] * size
@@ -206,7 +219,7 @@ def _viterbi(grammar: Grammar, emit, lattice, predicate_pos: int) -> list[int]:
         if (j == rel) == (predicate_pos == 0):
             scores[j] = emit[0][j]
     back = [None]
-    for t in range(1, n):
+    for t in range(1, len(emit)):
         prev, row = scores, emit[t]
         scores = [neg] * size
         pointers = [-1] * size
@@ -227,19 +240,20 @@ def _viterbi(grammar: Grammar, emit, lattice, predicate_pos: int) -> list[int]:
     if best_j < 0:
         raise NoValidPath("no grammar-valid tag sequence has a finite score")
     path = [best_j]
-    for t in range(n - 1, 0, -1):
+    for t in range(len(emit) - 1, 0, -1):
         path.append(back[t][path[-1]])
     path.reverse()
     return path
 
 
-class _Scorer:
+class _Scorer(dict):
     """Decoding state of one model, shared by the frames of one ``tag`` call.
 
-    Holds the compiled grammar, the transition lattice and a memo from
-    feature to its per-label emission row (``None`` when every weight is
-    zero).  It reads the model's weights once, so it must not outlive a
-    call: callers may change the model's dicts between calls.
+    Holds the compiled grammar and the transition lattice, and is itself the
+    memo from feature to its per-label emission row (``None`` when every
+    weight is zero), filled on first lookup.  It reads the model's weights
+    once, so it must not outlive a call: callers may change the model's
+    dicts between calls.
     """
 
     def __init__(self, model: TaggerModel):
@@ -249,32 +263,16 @@ class _Scorer:
         for (prev, lab), w in model.transitions.items():
             if prev in index and lab in index:
                 matrix[index[prev]][index[lab]] = w
-        self.labels = labels
         self.grammar = compile_grammar(tuple(labels))
         self.lattice = _lattice(self.grammar, matrix)
-        self.emission = model.emissions.get
-        self.rows: dict = {}
-        self.zero = [0] * len(labels)
+        self.weight = model.emissions.get
+        self.labels = labels
 
-    def emit(self, sentence: AnnotatedSentence, predicate_index: int) -> list:
-        """Per token, the emission score of each label for one predicate."""
-        labels, emission, rows = self.labels, self.emission, self.rows
-        emit = []
-        for i in range(1, len(sentence.tokens) + 1):
-            # Adding the rows per label in feature order, as sum() would, keeps
-            # float sums unchanged; skipping a row of zeros, or sum()'s leading
-            # int 0, can only flip the sign of a zero score, which no
-            # comparison or later non-zero sum sees.
-            row = self.zero
-            for f in extract_features(sentence, predicate_index, i):
-                if f not in rows:
-                    # emission((f, label), 0) for every label, in order
-                    weights = list(map(emission, zip(repeat(f), labels), self.zero))
-                    rows[f] = weights if any(weights) else None
-                if hit := rows[f]:
-                    row = hit if row is self.zero else list(map(add, row, hit))
-            emit.append(row)
-        return emit
+    def __missing__(self, f):
+        # weight((f, label), 0) for every label, in order
+        weights = list(map(self.weight, zip(repeat(f), self.labels), repeat(0)))
+        row = self[f] = weights if any(weights) else None
+        return row
 
 
 def viterbi_decode(
@@ -291,10 +289,10 @@ def viterbi_decode(
     n = len(sentence.tokens)
     if not 1 <= predicate_index <= n:
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
-    scorer = scorer or _Scorer(model)
-    emit = scorer.emit(sentence, predicate_index)
-    path = _viterbi(scorer.grammar, emit, scorer.lattice, predicate_index - 1)
-    return [scorer.labels[j] for j in path]
+    scorer = scorer if scorer is not None else _Scorer(model)
+    feats = [extract_features(sentence, predicate_index, i) for i in range(1, n + 1)]
+    path = _viterbi(scorer.grammar, scorer.lattice, feats, scorer, predicate_index - 1)
+    return [model.labels[j] for j in path]
 
 
 def _training_sequences(corpus: Corpus, index: dict):
@@ -311,25 +309,16 @@ def _training_sequences(corpus: Corpus, index: dict):
     return sequences
 
 
-def _update(table, j, d, step) -> None:
-    """Add ``d`` to weight ``j`` of a (weights, totals, stamps) row triple.
-
-    Lazy averaging: ``totals`` gains the old weight once per step since the
-    last update, so the average needs no pass over untouched weights.
-    """
-    weights, totals, stamps = table
-    totals[j] += (step - 1 - stamps[j]) * weights[j]
-    stamps[j] = step - 1
-    weights[j] += d
-
-
 def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     """Averaged structured perceptron over one sequence per (sentence, frame).
 
     Weights stay integral during training (updates are feature-count
     differences), so averaging is an exact rational and runs with the same
     seed produce bit-identical models.  They are kept as feature -> per-label
-    rows and a label x label transition matrix, each with its averaging rows.
+    rows and a label x label transition matrix.  Beside each weight ``w``
+    runs ``lagged``, the sum of ``d * (step - 1)`` over its updates ``d``;
+    the mean of ``w`` over all ``steps`` steps is then
+    ``(steps * w - lagged) / steps``.
     """
     config = config or TrainConfig()
     roles = {
@@ -341,14 +330,11 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
         raise EmptyCorpus("no (sentence, frame) training sequences in corpus")
     grammar = compile_grammar(tuple(labels))
     size = len(labels)
-
-    def new_rows():
-        return [0] * size, [0] * size, [0] * size
-
-    emissions: dict = {}  # feature -> (weights, totals, stamps) over labels
-    transitions = [new_rows() for _ in labels]  # previous label -> rows
-    trans = [weights for weights, _, _ in transitions]
-    zero = [0] * size
+    # feature -> weight per label, None until the feature's first update
+    emissions = dict.fromkeys(f for feats, _, _ in sequences for fs in feats for f in fs)
+    emissions_lagged: dict = {}
+    transitions = [[0] * size for _ in labels]  # [previous label][label]
+    transitions_lagged = [[0] * size for _ in labels]
     lattice = None  # rebuilt after a step that updates a transition weight
     step = 0
     rng = random.Random(config.seed)
@@ -356,39 +342,42 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     for _ in range(config.epochs):
         rng.shuffle(order)
         for index in order:
+            lag = step
             step += 1
             feats, gold, predicate_pos = sequences[index]
-            emit = []
-            for token_feats in feats:
-                row = zero
-                for f in token_feats:
-                    rows = emissions.get(f)
-                    if rows:
-                        row = list(map(add, row, rows[0]))
-                emit.append(row)
             if lattice is None:
-                lattice = _lattice(grammar, trans)
-            predicted = _viterbi(grammar, emit, lattice, predicate_pos)
+                lattice = _lattice(grammar, transitions)
+            predicted = _viterbi(grammar, lattice, feats, emissions, predicate_pos)
             if predicted == gold:
                 continue
             for t, (g, p) in enumerate(zip(gold, predicted)):
                 if g != p:
                     for f in feats[t]:
-                        if f not in emissions:
-                            emissions[f] = new_rows()
-                        _update(emissions[f], g, 1, step)
-                        _update(emissions[f], p, -1, step)
+                        if emissions[f] is None:
+                            emissions[f] = [0] * size
+                            emissions_lagged[f] = [0] * size
+                        weights, lagged = emissions[f], emissions_lagged[f]
+                        weights[g] += 1
+                        weights[p] -= 1
+                        lagged[g] += lag
+                        lagged[p] -= lag
                 if t and (gold[t - 1], g) != (predicted[t - 1], p):
-                    _update(transitions[gold[t - 1]], g, 1, step)
-                    _update(transitions[predicted[t - 1]], p, -1, step)
+                    transitions[gold[t - 1]][g] += 1
+                    transitions[predicted[t - 1]][p] -= 1
+                    transitions_lagged[gold[t - 1]][g] += lag
+                    transitions_lagged[predicted[t - 1]][p] -= lag
                     lattice = None
     model = TaggerModel(labels=labels)
-    tables = [(model.emissions, f, rows) for f, rows in emissions.items()]
-    tables += [(model.transitions, labels[k], rows) for k, rows in enumerate(transitions)]
-    for target, first, (weights, totals, stamps) in tables:
-        for lab, w, total, stamp in zip(labels, weights, totals, stamps):
-            summed = total + (step - stamp) * w
-            if summed:
+    tables = [
+        (model.emissions, f, w, emissions_lagged[f]) for f, w in emissions.items() if w
+    ]
+    tables += [
+        (model.transitions, labels[k], w, transitions_lagged[k])
+        for k, w in enumerate(transitions)
+    ]
+    for target, first, weights, lagged in tables:
+        for lab, w, lag in zip(labels, weights, lagged):
+            if summed := step * w - lag:
                 target[(first, lab)] = summed / step
     return model
 
@@ -423,23 +412,16 @@ def tag_corpus(model: TaggerModel, corpus: Corpus) -> Corpus:
 
 def render_model(model: TaggerModel) -> bytes:
     """Canonical model file: header, label line, then sorted E/T weight rows."""
-    lines = [f"{MODEL_MAGIC} {model.version}", "\t".join(model.labels)]
-    for (feature, label) in sorted(model.emissions):
-        w = model.emissions[(feature, label)]
-        if w:
-            lines.append(f"E\t{feature}\t{label}\t{float(w)!r}")
-    for (prev, label) in sorted(model.transitions):
-        w = model.transitions[(prev, label)]
-        if w:
-            lines.append(f"T\t{prev}\t{label}\t{float(w)!r}")
+    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", "\t".join(model.labels)]
+    for kind, table in (("E", model.emissions), ("T", model.transitions)):
+        for a, b in sorted(table):
+            if w := table[(a, b)]:
+                lines.append(f"{kind}\t{a}\t{b}\t{float(w)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def parse_model(data: bytes) -> TaggerModel:
-    text = decode_text(data)
-    if not text.endswith("\n"):
-        raise ParseError("truncated model file (missing final newline)")
-    lines = text.split("\n")[:-1]
+    lines = text_lines(data)
     if not lines:
         raise ParseError("truncated model file (no header)", 1)
     magic, _, version = lines[0].partition(" ")

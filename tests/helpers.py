@@ -14,8 +14,16 @@ from l2srl.model import (
     Frame,
     Span,
     Token,
+    tags_from_spans,
 )
-from l2srl.tagger import _can_end, _can_follow, _can_start
+from l2srl.tagger import (
+    TaggerModel,
+    _can_end,
+    _can_follow,
+    _can_start,
+    build_label_set,
+    extract_features,
+)
 
 VOCAB = ("wa", "ni", "de", "ta", "shi", "ren", "chi", "zuo", "hao", "lai")
 
@@ -211,6 +219,56 @@ def reference_viterbi(labels, emissions, transitions, feats, predicate_pos):
         path.append(back[t][path[-1]])
     path.reverse()
     return [labels[j] for j in path]
+
+
+def reference_train(corpus, config):
+    """Literal averaged structured perceptron with string keys.
+
+    Visits the (sentence, frame) sequences in ``train``'s shuffled order,
+    decodes each with ``reference_viterbi`` and applies the same update; after
+    every step it adds every weight to its running total, and the model
+    keeps each non-zero total divided by the number of steps.
+    """
+    roles = {s.label for sent in corpus.sentences for f in sent.frames for s in f.spans}
+    labels = build_label_set(roles)
+    sequences = []
+    for sentence in corpus.sentences:
+        n = len(sentence.tokens)
+        for fr in sentence.frames:
+            feats = [extract_features(sentence, fr.predicate_index, i) for i in range(1, n + 1)]
+            sequences.append((feats, tags_from_spans(fr, n), fr.predicate_index - 1))
+    emissions, transitions = {}, {}
+    emission_totals, transition_totals = {}, {}
+    steps = 0
+    rng = random.Random(config.seed)
+    order = list(range(len(sequences)))
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for index in order:
+            feats, gold, predicate_pos = sequences[index]
+            predicted = reference_viterbi(labels, emissions, transitions, feats, predicate_pos)
+            for t in range(len(gold)):
+                if gold[t] != predicted[t]:
+                    for f in feats[t]:
+                        emissions[(f, gold[t])] = emissions.get((f, gold[t]), 0) + 1
+                        emissions[(f, predicted[t])] = emissions.get((f, predicted[t]), 0) - 1
+                if t > 0 and (gold[t - 1], gold[t]) != (predicted[t - 1], predicted[t]):
+                    g, p = (gold[t - 1], gold[t]), (predicted[t - 1], predicted[t])
+                    transitions[g] = transitions.get(g, 0) + 1
+                    transitions[p] = transitions.get(p, 0) - 1
+            steps += 1
+            for weights, totals in (emissions, emission_totals), (transitions, transition_totals):
+                for key, w in weights.items():
+                    totals[key] = totals.get(key, 0) + w
+    model = TaggerModel(labels=labels)
+    for totals, target in (
+        (emission_totals, model.emissions),
+        (transition_totals, model.transitions),
+    ):
+        for key, total in totals.items():
+            if total:
+                target[key] = total / steps
+    return model
 
 
 HELD_OUT_AGENTS = ["nilo", "pexa", "quib", "rost"]

@@ -258,6 +258,18 @@ def test_retrain_extend_with_both(tmp_path):
     assert len(extended) == 20 + 2 * 3  # base corpus + both sides of 3 pairs
 
 
+def test_retrain_selects_from_the_tagged_pool(tmp_path):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=6, good_pairs=2)
+    config.write_text(config.read_text().replace("tag_pool = false", "tag_pool = true"))
+    assert main(["retrain", "--config", str(config)]) == 0
+    run = tmp_path / "fix" / "run"
+    for side in ("l2", "l1"):
+        tagged = {s.id: s for s in load_corpus(run / "pool" / f"pool_{side}_tagged.tsv")}
+        selected = load_corpus(run / "selection" / f"selected_{side}.tsv")
+        assert len(selected) > 0
+        assert all(s == tagged[s.id] for s in selected)
+
+
 def test_retrain_unknown_config_key_exit_2(tmp_path):
     config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
     config.write_text(config.read_text() + "mystery = 1\n")
@@ -443,6 +455,16 @@ def test_retrain_both_rejects_ids_shared_by_the_pool_sides(tmp_path, monkeypatch
     # extending with one side only, the shared ids never meet
     assert main(["retrain", "--config", str(config), "--extend-with", "l1"]) == 0
     assert len(calls) == 2
+
+
+def test_retrain_rejects_unpaired_pool_before_training(tmp_path, monkeypatch, capsys):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    path = tmp_path / "fix" / "pool_l1.tsv"
+    write(path, Corpus(load_corpus(path).sentences[:-1]))
+    calls = _count_train_calls(monkeypatch)
+    assert main(["retrain", "--config", str(config)]) == 4
+    assert "pool3" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_failed_render_leaves_report_files_unchanged(gold_file, tmp_path, monkeypatch):

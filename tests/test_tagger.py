@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from helpers import corpus, frame, reference_viterbi, sent, toy_separable_corpus
+from helpers import (
+    corpus,
+    frame,
+    random_pred_gold_corpora,
+    reference_train,
+    reference_viterbi,
+    sent,
+    toy_separable_corpus,
+)
 from l2srl.corpus import render_corpus
 from l2srl.errors import (
     EmptyCorpus,
@@ -311,6 +319,23 @@ def test_toy_model_and_decodes_pinned():
     assert hashlib.sha256(render_corpus(tag_corpus(model, toy))).hexdigest() == (
         "dff0021374eab51f8f0939566d5ec72db8979e22a2fae00cd19840bd8160eca3"
     )
+
+
+def test_train_matches_reference_averaged_perceptron():
+    """Byte-identical models to a dense-averaging, string-keyed perceptron."""
+    toy = toy_separable_corpus()
+    cases = [(toy, TrainConfig(epochs=10, seed=1)), (toy, TrainConfig(epochs=3, seed=5))]
+    for seed in range(4):
+        rng = random.Random(seed)
+        _, gold = random_pred_gold_corpora(
+            rng, 12, labels=("A0", "A1", "AM", "AM-LOC", "AM-TMP")
+        )
+        cases.append((gold, TrainConfig(epochs=rng.randint(1, 4), seed=seed)))
+    for c, config in cases:
+        model, expected = train(c, config), reference_train(c, config)
+        assert model.emissions == expected.emissions
+        assert model.transitions == expected.transitions
+        assert render_model(model) == render_model(expected)
 
 
 def test_train_converges_on_separable_toy_corpus():
