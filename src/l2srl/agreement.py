@@ -10,6 +10,7 @@ Adjunct subtypes are collapsed (AM-TMP == AM) during matching by default;
 pass am_coarse=False for subtype-exact matching.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -173,35 +174,47 @@ def heuristic_align(l2: AnnotatedSentence, l1: AnnotatedSentence) -> Alignment:
     a = [t.form for t in l2.tokens]
     b = [t.form for t in l1.tokens]
     n, m = len(a), len(b)
-    lengths = [[0] * (m + 1) for _ in range(n + 1)]
+    # lengths[i][j]: LCS length of a[i:] and b[j:], built one row at a time.
+    below = [0] * (m + 1)
+    lengths = [below]
     for i in range(n - 1, -1, -1):
+        form = a[i]
+        row = [0] * (m + 1)
+        right = 0
         for j in range(m - 1, -1, -1):
-            if a[i] == b[j]:
-                lengths[i][j] = lengths[i + 1][j + 1] + 1
-            else:
-                lengths[i][j] = max(lengths[i + 1][j], lengths[i][j + 1])
+            if form == b[j]:
+                right = below[j + 1] + 1
+            elif below[j] > right:
+                right = below[j]
+            row[j] = right
+        lengths.append(row)
+        below = row
+    lengths.reverse()
     links = set()
-    used_i, used_j = set(), set()
+    unlinked = []  # L2 positions left for the greedy pass, ascending
+    free: dict[str, list[int]] = {}  # form -> unlinked L1 positions, ascending
     i = j = 0
     while i < n and j < m:
-        if a[i] == b[j] and lengths[i][j] == lengths[i + 1][j + 1] + 1:
+        if a[i] == b[j]:
             links.add((i, j))
-            used_i.add(i)
-            used_j.add(j)
             i += 1
             j += 1
         elif lengths[i + 1][j] >= lengths[i][j + 1]:
+            unlinked.append(i)
             i += 1
         else:
+            free.setdefault(b[j], []).append(j)
             j += 1
-    for i in range(n):
-        if i in used_i:
+    unlinked.extend(range(i, n))
+    for j in range(j, m):
+        free.setdefault(b[j], []).append(j)
+    for i in unlinked:
+        positions = free.get(a[i])
+        if not positions:
             continue
-        candidates = [j for j in range(m) if j not in used_j and b[j] == a[i]]
-        if not candidates:
-            continue
-        j = min(candidates, key=lambda j: (abs(j - i), j))
-        links.add((i, j))
-        used_i.add(i)
-        used_j.add(j)
+        # The nearest free position; on a tie, the earlier one.
+        k = bisect_left(positions, i)
+        if k == len(positions) or (k and i - positions[k - 1] <= positions[k] - i):
+            k -= 1
+        links.add((i, positions.pop(k)))
     return Alignment(l2.pair_id, frozenset(links))

@@ -17,8 +17,7 @@ some frame else ``_``, then one tag column per frame in predicate order; tag
 cells hold ``O``, ``rel``, or ``<S|B|I|E>-<label>``.
 
 Alignment file: one line per pair, ``pair_id<TAB>i-j i-j ...`` with 0-based
-space-separated links (the link list may be empty).  Split file: one
-``sentence_id<TAB>split_name`` line per sentence.
+space-separated links (the link list may be empty).
 
 Writers emit a canonical form: reading a canonical file and writing it back
 is byte-identical, and write-then-read is value-identical.  Every file the
@@ -41,10 +40,11 @@ from l2srl.model import (
     LANGS,
     SIDES,
     Token,
+    _decode_tags,
+    _frame_order_violation,
     is_position_tag,
-    spans_from_tags,
+    split_tag,
     tags_from_spans,
-    validate_sentence,
 )
 
 _HEADER_KEYS = ("id", "lang", "side", "pair")
@@ -127,14 +127,15 @@ def parse_corpus(data: bytes) -> Corpus:
     lines = text_lines(data)
     sentences = []
     ids: set[str] = set()
+    tags: dict[str, tuple] = {}  # each distinct valid tag -> split_tag(tag)
     i = 0
     while i < len(lines):
-        sentence, i = _parse_block(lines, i, ids)
+        sentence, i = _parse_block(lines, i, ids, tags)
         sentences.append(sentence)
     return Corpus(tuple(sentences))
 
 
-def _parse_block(lines, i, ids):
+def _parse_block(lines, i, ids, tags):
     header_line = i + 1
     values = {}
     for key in _HEADER_KEYS:
@@ -184,13 +185,16 @@ def _parse_block(lines, i, ids):
                 i + 1,
             )
         form = cells[1]
-        if not form or any(c.isspace() for c in form):
+        # Also rejects an empty form; split() breaks on exactly str.isspace.
+        if form.split() != [form]:
             raise ParseError(f"bad token form {form!r}", i + 1)
         if cells[2] not in ("Y", "_"):
             raise ParseError(f"predicate marker must be Y or _, got {cells[2]!r}", i + 1)
         for k, cell in enumerate(cells[3:]):
-            if not is_position_tag(cell):
-                raise ParseError(f"undecodable tag {cell!r} in frame column {k + 1}", i + 1)
+            if cell not in tags:
+                if not is_position_tag(cell):
+                    raise ParseError(f"undecodable tag {cell!r} in frame column {k + 1}", i + 1)
+                tags[cell] = split_tag(cell)
             columns[k].append(cell)
         tokens.append(Token(index, form))
         marked.append(cells[2] == "Y")
@@ -204,7 +208,7 @@ def _parse_block(lines, i, ids):
     frames = []
     for k, column in enumerate(columns):
         try:
-            frames.append(spans_from_tags(column))
+            frames.append(_decode_tags(column, False, tags))
         except IllFormedTagSequence as exc:
             raise ParseError(
                 f"undecodable tag column {k + 1}: {exc}", first_token_line
@@ -216,6 +220,13 @@ def _parse_block(lines, i, ids):
                 f"predicate marker disagrees with frame columns at token {j}",
                 first_token_line + j - 1,
             )
+    # The checks above already cover every other rule of validate_sentence.
+    last = 0
+    for k, f in enumerate(frames, start=1):
+        if f.predicate_index <= last:
+            violation = _frame_order_violation(k, f.predicate_index, last)
+            raise ParseError(f"invalid sentence {values['id']!r}: {violation}", header_line)
+        last = f.predicate_index
     sentence = AnnotatedSentence(
         id=values["id"],
         lang=values["lang"],
@@ -224,11 +235,6 @@ def _parse_block(lines, i, ids):
         tokens=tuple(tokens),
         frames=tuple(frames),
     )
-    violations = validate_sentence(sentence)
-    if violations:
-        raise ParseError(
-            f"invalid sentence {sentence.id!r}: {violations[0]}", header_line
-        )
     return sentence, i
 
 
@@ -284,26 +290,6 @@ def render_alignments(alignments: dict[str, Alignment]) -> bytes:
     if not out:
         return b""
     return ("\n".join(out) + "\n").encode("utf-8")
-
-
-def parse_splits(data: bytes) -> dict[str, str]:
-    """Parse a split file into a sentence_id -> split_name map."""
-    result: dict[str, str] = {}
-    for n, line in enumerate(text_lines(data), start=1):
-        cells = line.split("\t")
-        if len(cells) != 2 or not cells[0] or not cells[1]:
-            raise ParseError("expected 'sentence_id<TAB>split_name'", n)
-        if cells[0] in result:
-            raise ParseError(f"duplicate sentence id {cells[0]!r}", n)
-        result[cells[0]] = cells[1]
-    return result
-
-
-def render_splits(splits: dict[str, str]) -> bytes:
-    if not splits:
-        return b""
-    lines = [f"{sid}\t{name}" for sid, name in splits.items()]
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -412,16 +398,3 @@ def split_dataset(pairs, spec: SplitSpec, seed: int) -> SplitResult:
         test_l2=tuple(p.l2 for p in rest),
         test_l1=tuple(p.l1 for p in rest),
     )
-
-
-def splits_table(result: SplitResult) -> dict[str, str]:
-    """Flatten a SplitResult into the split-file mapping."""
-    table: dict[str, str] = {}
-    for pair in result.dev:
-        table[pair.l2.id] = "dev"
-        table[pair.l1.id] = "dev"
-    for s in result.test_l2:
-        table[s.id] = "test_l2"
-    for s in result.test_l1:
-        table[s.id] = "test_l1"
-    return table

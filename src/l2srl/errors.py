@@ -10,7 +10,7 @@ class InvalidFrame(ValueError):
 
 
 class ParseError(ValueError):
-    """A corpus, alignment, split, config, or model file is malformed.
+    """A corpus, alignment, config, or model file is malformed.
 
     ``line`` carries the 1-based line number when one is known.
     """

@@ -13,6 +13,7 @@ All types are immutable values; the operations here are pure functions.
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from l2srl.errors import IllFormedTagSequence, InvalidFrame
 
@@ -85,6 +86,10 @@ class Span:
         return self.start <= index <= self.end
 
 
+# Span's dataclass order, read at C level.
+_SPAN_ORDER = attrgetter("start", "end", "label")
+
+
 def spans_overlap(a: Span, b: Span) -> bool:
     return a.start <= b.end and b.start <= a.end
 
@@ -102,7 +107,7 @@ class Frame:
     spans: tuple[Span, ...] = ()
 
     def __post_init__(self):
-        normalized = tuple(sorted(set(self.spans)))
+        normalized = tuple(sorted(set(self.spans), key=_SPAN_ORDER))
         object.__setattr__(self, "spans", normalized)
 
 
@@ -166,6 +171,13 @@ def spans_from_tags(tags, lenient: bool = False) -> Frame:
     ``rel`` tags after the first are ignored.  A sequence with no ``rel``
     is unrepairable and raises in both modes.
     """
+    return _decode_tags(tags, lenient, {})
+
+
+def _decode_tags(tags, lenient: bool, parts: dict) -> Frame:
+    """spans_from_tags, given ``parts``: a table of the tags already known
+    to be valid, each mapped to its ``split_tag``.  Tags missing from the
+    table are checked and added to it."""
     spans: list[Span] = []
     predicate = None
     run_label: str | None = None
@@ -180,23 +192,23 @@ def spans_from_tags(tags, lenient: bool = False) -> Frame:
         run_label = None
 
     for pos, tag in enumerate(tags, start=1):
-        if not is_position_tag(tag):
-            fail(pos, f"unknown tag {tag!r}")
-        if run_label is not None and (
-            tag in (O_TAG, REL_TAG) or tag[0] in ("S", "B")
-        ):
+        split = parts.get(tag)
+        if split is None:
+            if not is_position_tag(tag):
+                fail(pos, f"unknown tag {tag!r}")
+            split = parts[tag] = split_tag(tag)
+        position, label = split
+        if run_label is not None and position in (None, "S", "B"):
             if not lenient:
                 fail(pos, f"run B-{run_label} not closed before {tag!r}")
             close_run(pos - 1)
-        if tag == O_TAG:
+        if position is None:
+            if tag == REL_TAG:
+                if predicate is None:
+                    predicate = pos
+                elif not lenient:
+                    fail(pos, "more than one 'rel' tag")
             continue
-        if tag == REL_TAG:
-            if predicate is None:
-                predicate = pos
-            elif not lenient:
-                fail(pos, "more than one 'rel' tag")
-            continue
-        position, label = tag[0], tag[2:]
         if position == "S":
             spans.append(Span(pos, pos, label))
         elif position == "B":
@@ -293,14 +305,8 @@ def validate_sentence(sentence: AnnotatedSentence) -> list[Violation]:
         where = f"frame {k} (predicate {frame.predicate_index})"
         if not 1 <= frame.predicate_index <= n:
             out.append(Violation("OutOfBounds", f"{where}: predicate outside 1..{n}"))
-        if frame.predicate_index == last_predicate:
-            out.append(
-                Violation("DuplicatePredicate", f"{where}: same predicate as previous frame")
-            )
-        elif frame.predicate_index < last_predicate:
-            out.append(
-                Violation("UnorderedFrames", f"{where}: predicate indices not increasing")
-            )
+        if frame.predicate_index <= last_predicate:
+            out.append(_frame_order_violation(k, frame.predicate_index, last_predicate))
         last_predicate = frame.predicate_index
         widest: Span | None = None  # earlier span with the furthest end
         for span in frame.spans:
@@ -316,3 +322,12 @@ def validate_sentence(sentence: AnnotatedSentence) -> list[Violation]:
             if widest is None or span.end > widest.end:
                 widest = span
     return out
+
+
+def _frame_order_violation(k: int, predicate: int, last_predicate: int) -> Violation:
+    """The violation of frame ``k`` whose predicate does not follow the
+    previous frame's: the same token, or an earlier one."""
+    where = f"frame {k} (predicate {predicate})"
+    if predicate == last_predicate:
+        return Violation("DuplicatePredicate", f"{where}: same predicate as previous frame")
+    return Violation("UnorderedFrames", f"{where}: predicate indices not increasing")

@@ -15,14 +15,20 @@ repair one error type:
 A transform is skipped wherever it would create overlapping spans or cover
 the predicate token.  Re-scoring after each stage gives a monotonically
 non-decreasing F that ends at 100 once everything has been dropped or added.
+
+The sequence is scored incrementally: it keeps each sentence's span counts
+and integer running totals, and after a stage rescores only the sentences
+that stage changed, so every report equals a full rescore of the corpus.
+Frames already equal to their gold frame are skipped.
 """
 
+from copy import deepcopy
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 from l2srl.corpus import Corpus
-from l2srl.model import CORE_LABELS, Frame, Span, spans_overlap
-from l2srl.scoring import ScoreReport, _aligned, score
+from l2srl.model import _SPAN_ORDER, CORE_LABELS, Frame, Span, spans_overlap
+from l2srl.scoring import ScoreReport, _accumulate, _aligned
 
 ORACLE_SEQUENCE = ("fix", "move", "merge", "split", "boundary", "drop", "add")
 
@@ -81,8 +87,8 @@ def _merge(pred: Frame, gold: Frame) -> Frame:
     changed = True
     while changed:
         changed = False
-        for g in sorted(gold.spans):
-            for a, b in combinations(sorted(spans), 2):
+        for g in gold.spans:
+            for a, b in combinations(sorted(spans, key=_SPAN_ORDER), 2):
                 gap = b.start - a.end - 1
                 if gap < 0 or gap > 1:
                     continue
@@ -103,8 +109,8 @@ def _split(pred: Frame, gold: Frame) -> Frame:
     changed = True
     while changed:
         changed = False
-        for s in sorted(spans):
-            for g1, g2 in combinations(sorted(gold.spans), 2):
+        for s in sorted(spans, key=_SPAN_ORDER):
+            for g1, g2 in combinations(gold.spans, 2):
                 gap = g2.start - g1.end - 1
                 if gap < 0 or gap > 1:
                     continue
@@ -124,7 +130,7 @@ def _split(pred: Frame, gold: Frame) -> Frame:
 
 def _boundary(pred: Frame, gold: Frame) -> Frame:
     spans = list(pred.spans)
-    for s in sorted(pred.spans):
+    for s in pred.spans:
         if s not in spans:
             continue
         candidates = [
@@ -156,7 +162,7 @@ def _drop(pred: Frame, gold: Frame) -> Frame:
 
 def _add(pred: Frame, gold: Frame) -> Frame:
     spans = list(pred.spans)
-    for g in sorted(gold.spans):
+    for g in gold.spans:
         if not any(spans_overlap(g, s) for s in spans):
             spans.append(g)
     return Frame(pred.predicate_index, tuple(spans))
@@ -206,26 +212,66 @@ def oracle_sequence(
     Returns the pre-transform baseline report and one OracleStage per
     transform; the final stage always scores F = 100.
     """
+    aligned = _aligned(pred, gold)
     sentences = []
-    gold_frames_by_id = {}
-    for pred_s, gold_s in _aligned(pred, gold):
-        sentences.append(_with_empty_counterparts(pred_s, gold_s))
-        gold_frames_by_id[gold_s.id] = {f.predicate_index: f for f in gold_s.frames}
-    current = Corpus(tuple(sentences))
-    baseline = score(current, gold, am_coarse)
+    golds = []  # per sentence: the gold frame of each of its predicted frames
+    counts = []  # per sentence: its span counts against gold
+    totals = ScoreReport()
+    for pred_s, gold_s in aligned:
+        pred_s = _with_empty_counterparts(pred_s, gold_s)
+        by_predicate = {f.predicate_index: f for f in gold_s.frames}
+        sentences.append(pred_s)
+        golds.append(tuple(
+            by_predicate.get(f.predicate_index, Frame(f.predicate_index))
+            for f in pred_s.frames
+        ))
+        counts.append(_sentence_counts(pred_s, gold_s, am_coarse))
+        _add_counts(totals, counts[-1], 1)
+    baseline = deepcopy(totals)
     f_before = baseline.f1
     stages = []
     for kind in ORACLE_SEQUENCE:
-        transformed = []
-        for s in current.sentences:
-            gold_frames = gold_frames_by_id[s.id]
-            frames = tuple(
-                apply_oracle(f, gold_frames.get(f.predicate_index, Frame(f.predicate_index)), kind)
-                for f in s.frames
-            )
-            transformed.append(replace(s, frames=frames))
-        current = Corpus(tuple(transformed))
-        report = score(current, gold, am_coarse)
+        transform = _TRANSFORMS[kind]
+        for k, s in enumerate(sentences):
+            frames = None
+            for j, (f, g) in enumerate(zip(s.frames, golds[k])):
+                # A frame equal to its gold frame is a fixed point of every
+                # transform, as valid gold spans never overlap.
+                if f.spans == g.spans:
+                    continue
+                new = transform(f, g)
+                if new.spans != f.spans:
+                    if frames is None:
+                        frames = list(s.frames)
+                    frames[j] = new
+            if frames is None:
+                continue
+            sentences[k] = s = replace(s, frames=tuple(frames))
+            _add_counts(totals, counts[k], -1)
+            counts[k] = _sentence_counts(s, aligned[k][1], am_coarse)
+            _add_counts(totals, counts[k], 1)
+        report = deepcopy(totals)
         stages.append(OracleStage(kind, report, f_before))
         f_before = report.f1
     return baseline, stages
+
+
+def _sentence_counts(pred_s, gold_s, am_coarse: bool) -> ScoreReport:
+    report = ScoreReport()
+    _accumulate(report, pred_s, gold_s, am_coarse)
+    return report
+
+
+def _add_counts(total: ScoreReport, part: ScoreReport, sign: int) -> None:
+    """Add (sign 1) or subtract (sign -1) one sentence's counts."""
+    total.matched += sign * part.matched
+    total.predicted += sign * part.predicted
+    total.gold += sign * part.gold
+    for label, counts in part.per_role.items():
+        role = total.role(label)
+        role.matched += sign * counts.matched
+        role.predicted += sign * counts.predicted
+        role.gold += sign * counts.gold
+        if not (role.matched or role.predicted or role.gold):
+            del total.per_role[label]  # a full rescore would not create it
+

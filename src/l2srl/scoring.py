@@ -61,7 +61,10 @@ class ScoreReport:
         return 2.0 * p * r / (p + r) if p + r else 0.0
 
     def role(self, label: str) -> "ScoreReport":
-        return self.per_role.setdefault(label, ScoreReport())
+        report = self.per_role.get(label)
+        if report is None:
+            report = self.per_role[label] = ScoreReport()
+        return report
 
     def to_dict(self) -> dict:
         d = {

@@ -5,6 +5,7 @@ full enumeration) and independent of the library code paths they check.
 """
 
 import random
+from dataclasses import replace
 
 from l2srl.corpus import Corpus, SentencePair
 from l2srl.model import (
@@ -16,6 +17,8 @@ from l2srl.model import (
     Token,
     tags_from_spans,
 )
+from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, _with_empty_counterparts, apply_oracle
+from l2srl.scoring import _aligned, score
 from l2srl.tagger import (
     TaggerModel,
     _can_end,
@@ -269,6 +272,74 @@ def reference_train(corpus, config):
             if total:
                 target[key] = total / steps
     return model
+
+
+def reference_oracle_sequence(pred, gold, am_coarse=False):
+    """Full-rescore oracle: apply each transform to every frame, then score
+    the whole corpus again after every stage."""
+    sentences = []
+    gold_frames_by_id = {}
+    for pred_s, gold_s in _aligned(pred, gold):
+        sentences.append(_with_empty_counterparts(pred_s, gold_s))
+        gold_frames_by_id[gold_s.id] = {f.predicate_index: f for f in gold_s.frames}
+    current = Corpus(tuple(sentences))
+    baseline = score(current, gold, am_coarse)
+    f_before = baseline.f1
+    stages = []
+    for kind in ORACLE_SEQUENCE:
+        transformed = []
+        for s in current.sentences:
+            gold_frames = gold_frames_by_id[s.id]
+            frames = tuple(
+                apply_oracle(f, gold_frames.get(f.predicate_index, Frame(f.predicate_index)), kind)
+                for f in s.frames
+            )
+            transformed.append(replace(s, frames=frames))
+        current = Corpus(tuple(transformed))
+        report = score(current, gold, am_coarse)
+        stages.append(OracleStage(kind, report, f_before))
+        f_before = report.f1
+    return baseline, stages
+
+
+def reference_align(l2, l1):
+    """Form-identity aligner with a full LCS table: LCS links first, then a
+    greedy nearest-position pass over the remaining identical forms."""
+    a = [t.form for t in l2.tokens]
+    b = [t.form for t in l1.tokens]
+    n, m = len(a), len(b)
+    lengths = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if a[i] == b[j]:
+                lengths[i][j] = lengths[i + 1][j + 1] + 1
+            else:
+                lengths[i][j] = max(lengths[i + 1][j], lengths[i][j + 1])
+    links = set()
+    used_i, used_j = set(), set()
+    i = j = 0
+    while i < n and j < m:
+        if a[i] == b[j] and lengths[i][j] == lengths[i + 1][j + 1] + 1:
+            links.add((i, j))
+            used_i.add(i)
+            used_j.add(j)
+            i += 1
+            j += 1
+        elif lengths[i + 1][j] >= lengths[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    for i in range(n):
+        if i in used_i:
+            continue
+        candidates = [j for j in range(m) if j not in used_j and b[j] == a[i]]
+        if not candidates:
+            continue
+        j = min(candidates, key=lambda j: (abs(j - i), j))
+        links.add((i, j))
+        used_i.add(i)
+        used_j.add(j)
+    return Alignment(l2.pair_id, frozenset(links))
 
 
 HELD_OUT_AGENTS = ["nilo", "pexa", "quib", "rost"]

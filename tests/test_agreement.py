@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from helpers import brute_force_shared, frame, identity_pair, make_pair, sent
+from helpers import (
+    brute_force_shared,
+    frame,
+    identity_pair,
+    make_pair,
+    reference_align,
+    sent,
+)
 from l2srl.agreement import (
     PairRecall,
     RoleTuple,
@@ -246,3 +253,11 @@ def test_heuristic_align_repeated_forms_nearest_position():
     l1 = sent("p.l1", ["x", "z", "x"], [], side="L1", pair="p")
     got = heuristic_align(l2, l1)
     assert (0, 0) in got.links and (2, 2) in got.links
+
+
+def test_heuristic_align_matches_reference():
+    rng = random.Random(17)
+    for trial in range(6000):
+        l2 = sent("p.l2", rng.choices("xyz", k=rng.randint(0, 9)), [], side="L2", pair="p")
+        l1 = sent("p.l1", rng.choices("xyz", k=rng.randint(0, 9)), [], side="L1", pair="p")
+        assert heuristic_align(l2, l1) == reference_align(l2, l1), trial

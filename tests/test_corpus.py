@@ -1,7 +1,8 @@
-"""Corpus/alignment/split file formats, pairing, and dataset splitting."""
+"""Corpus and alignment file formats, pairing, and dataset splitting."""
 
 import os
 import random
+import sys
 
 import pytest
 
@@ -13,13 +14,10 @@ from l2srl.corpus import (
     pair_corpora,
     parse_alignments,
     parse_corpus,
-    parse_splits,
     render_alignments,
     render_corpus,
-    render_splits,
     save_corpus,
     split_dataset,
-    splits_table,
     write_atomic,
 )
 from l2srl.errors import InsufficientData, PairingError, ParseError
@@ -114,6 +112,46 @@ def test_parse_error_line_numbers():
     assert "duplicate" in str(err.value)
 
 
+def test_frame_order_errors_are_pinned():
+    header = b"# id = s1\n# lang = ENG\n# side = L2\n# pair = p1\n"
+    same_token = header + b"1\the\t_\tS-A0\tO\n2\teats\tY\trel\trel\n3\trice\t_\tS-A1\tS-A0\n\n"
+    with pytest.raises(ParseError) as err:
+        parse_corpus(same_token)
+    assert err.value.args == (
+        "line 1: invalid sentence 's1': DuplicatePredicate: "
+        "frame 2 (predicate 2): same predicate as previous frame",
+    )
+    assert err.value.line == 1
+
+    before = b"# id = s0\n# lang = ENG\n# side = L2\n# pair = p0\n1\tx\t_\n\n"
+    decreasing = before + header + (
+        b"1\the\tY\tS-A0\trel\n2\teats\tY\trel\tO\n3\trice\t_\tS-A1\tS-A0\n\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_corpus(decreasing)
+    assert err.value.args == (
+        "line 7: invalid sentence 's1': UnorderedFrames: "
+        "frame 2 (predicate 1): predicate indices not increasing",
+    )
+    assert err.value.line == 7
+
+
+def test_form_split_rejects_exactly_isspace():
+    # The parser rejects a form unless form.split() == [form].
+    for cp in range(sys.maxunicode + 1):
+        form = f"x{chr(cp)}y"
+        assert (form.split() != [form]) == chr(cp).isspace(), hex(cp)
+
+
+@pytest.mark.parametrize("char", ["\x1c", "\x85", "\u3000"])
+def test_form_with_unicode_whitespace_rejected(char):
+    for form in (char, f"re{char}d", f"red{char}"):
+        data = MINIMAL.replace(b"\tred\t", f"\t{form}\t".encode())
+        with pytest.raises(ParseError) as err:
+            parse_corpus(data)
+        assert err.value.args == (f"line 7: bad token form {form!r}",)
+
+
 @pytest.mark.parametrize("index", ["²", "١", " 2", "+2"])
 def test_token_index_must_be_ascii_digits(index):
     data = MINIMAL.replace(b"2\teats", index.encode() + b"\teats")
@@ -174,13 +212,6 @@ def test_alignment_round_trips():
     assert render_alignments(parse_alignments(canonical)) == canonical
     table = {"z": Alignment("z", frozenset({(2, 1), (0, 0)}))}
     assert parse_alignments(render_alignments(table)) == table
-
-
-def test_splits_round_trip():
-    canonical = b"s1\tdev\ns2\ttest_l2\n"
-    assert render_splits(parse_splits(canonical)) == canonical
-    with pytest.raises(ParseError):
-        parse_splits(b"s1\n")
 
 
 def _pairable(n, langs=("ENG",)):
@@ -273,14 +304,6 @@ def test_split_insufficient_data_names_language():
     with pytest.raises(InsufficientData) as err:
         split_dataset(pairs, SplitSpec(dev_pairs_per_lang=5), seed=1)
     assert err.value.lang in ("ENG", "JPN")
-
-
-def test_splits_table_covers_everything():
-    pairs = _pairs_for_split(per_lang=4, langs=("ENG",))
-    result = split_dataset(pairs, SplitSpec(dev_pairs_per_lang=2), seed=1)
-    table = splits_table(result)
-    assert len(table) == 8
-    assert sorted(set(table.values())) == ["dev", "test_l1", "test_l2"]
 
 
 def test_random_corpora_round_trip():

@@ -4,10 +4,20 @@ monotonicity / overlap-freedom / terminal-100 guarantees."""
 import random
 from itertools import combinations
 
-from helpers import corpus, frame, random_frame, sent
-from l2srl.model import Span, spans_overlap
+from helpers import (
+    corpus,
+    frame,
+    random_frame,
+    random_pred_gold_corpora,
+    reference_oracle_sequence,
+    sent,
+)
+from l2srl.corpus import Corpus
+from l2srl.model import Frame, Span, spans_overlap
 from l2srl.oracle import ORACLE_SEQUENCE, apply_oracle, oracle_sequence
-from l2srl.scoring import score
+from l2srl.scoring import report_to_json, score
+
+LABELS = ("A0", "A1", "A2", "A3", "AM", "AM-TMP", "AM-LOC")
 
 
 def test_fix_relabels_on_boundary_match():
@@ -217,3 +227,85 @@ def test_sequence_over_random_corpora_reaches_gold():
         baseline, stages = oracle_sequence(pred_c, gold_c)
         assert stages[-1].report.f1 == 100.0
         assert score(pred_c, gold_c).f1 == baseline.f1
+
+
+def test_each_transform_maps_a_gold_frame_to_itself():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        gold = random_frame(rng, n, rng.randint(1, n), LABELS)
+        for kind in ORACLE_SEQUENCE:
+            assert apply_oracle(gold, gold, kind) == gold, kind
+
+
+def _near_gold(rng, gold, n):
+    """A predicted frame made from a gold one by relabelling, shifting,
+    splitting, merging and dropping its spans, plus a spurious span."""
+    spans = []
+    pending = list(gold.spans)
+    while pending:
+        s = pending.pop(0)
+        r = rng.random()
+        if r < 0.1 and pending:
+            nxt = pending.pop(0)
+            spans.append(Span(s.start, nxt.end, s.label))
+        elif r < 0.25:
+            spans.append(Span(s.start, s.end, rng.choice(LABELS)))
+        elif r < 0.4:
+            start = max(1, s.start + rng.choice((-1, 0, 1)))
+            end = min(n, max(start, s.end + rng.choice((-1, 0, 1))))
+            spans.append(Span(start, end, s.label))
+        elif r < 0.5 and s.end > s.start:
+            cut = rng.randint(s.start, s.end - 1)
+            spans += [Span(s.start, cut, s.label), Span(cut + 1, s.end, s.label)]
+        elif r < 0.6:
+            continue
+        else:
+            spans.append(s)
+    if rng.random() < 0.3:
+        start = rng.randint(1, n)
+        spans.append(Span(start, min(n, start + rng.randint(0, 2)), rng.choice(LABELS)))
+    return Frame(gold.predicate_index, tuple(spans))
+
+
+def _random_oracle_corpora(rng):
+    pred, gold = random_pred_gold_corpora(rng, rng.randint(1, 8), LABELS)
+    sentences = []
+    for p, g in zip(pred.sentences, gold.sentences):
+        r = rng.random()
+        if r < 0.4:
+            n = len(g.tokens)
+            p = sent(p.id, p.forms, [_near_gold(rng, f, n) for f in g.frames],
+                     lang=p.lang, side=p.side)
+        elif r < 0.5:
+            p = g
+        sentences.append(p)
+    return Corpus(tuple(sentences)), gold
+
+
+def _oracle_json(baseline, stages):
+    return [report_to_json(baseline)] + [
+        (s.kind, s.f_before, report_to_json(s.report)) for s in stages
+    ]
+
+
+def test_sequence_matches_full_rescore_reference():
+    rng = random.Random(43)
+    for trial in range(240):
+        pred, gold = _random_oracle_corpora(rng)
+        for am_coarse in (False, True):
+            got = _oracle_json(*oracle_sequence(pred, gold, am_coarse))
+            want = _oracle_json(*reference_oracle_sequence(pred, gold, am_coarse))
+            assert got == want, (trial, am_coarse)
+
+
+def test_sequence_drops_a_predicted_only_label_once_it_vanishes():
+    gold = corpus(sent("s1", list("abcde"), [frame(2, (3, 3, "A0"))]))
+    pred = corpus(sent("s1", list("abcde"), [frame(2, (1, 1, "A3"), (5, 5, "A0"))]))
+    baseline, stages = oracle_sequence(pred, gold)
+    assert "A3" in baseline.per_role
+    drop = stages[ORACLE_SEQUENCE.index("drop")]
+    assert "A3" not in drop.report.per_role
+    assert _oracle_json(baseline, stages) == _oracle_json(
+        *reference_oracle_sequence(pred, gold)
+    )
