@@ -210,7 +210,8 @@ def oracle_sequence(
     """Apply the seven transforms in order, re-scoring after each.
 
     Returns the pre-transform baseline report and one OracleStage per
-    transform; the final stage always scores F = 100.
+    transform; the final stage always scores F = 100.  Gold frames must be
+    valid (``validate_sentence``), as ``parse_corpus`` guarantees.
     """
     aligned = _aligned(pred, gold)
     sentences = []
