@@ -36,7 +36,6 @@ from l2srl.model import (
     Token,
     spans_from_tags,
     tags_from_spans,
-    validate_sentence,
 )
 from l2srl.oracle import ORACLE_SEQUENCE, apply_oracle, oracle_sequence
 from l2srl.scoring import (

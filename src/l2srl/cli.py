@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("score", help="score predicted annotations against gold")
     p.add_argument("pred")
     p.add_argument("gold")
-    p.add_argument("--group-by", choices=("lang", "side", "lang,side"), default=None)
+    p.add_argument("--group-by", choices=tuple(scoring.GROUPINGS), default=None)
     _flags(p, "--am-coarse", "--out", "--format")
     p.set_defaults(func=cmd_score)
 

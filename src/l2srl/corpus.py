@@ -41,7 +41,6 @@ from l2srl.model import (
     SIDES,
     Token,
     _decode_tags,
-    _frame_order_violation,
     is_position_tag,
     split_tag,
     tags_from_spans,
@@ -176,13 +175,13 @@ def _parse_block(lines, i, ids, tags):
             raise ParseError(
                 f"bad column count: expected {3 + n_frames}, got {len(cells)}", i + 1
             )
-        if not _is_ascii_digits(cells[0]):
-            raise ParseError(f"non-integer token index {cells[0]!r}", i + 1)
-        index = int(cells[0])
-        if index != len(tokens) + 1:
+        index = len(tokens) + 1
+        # The canonical spelling only, so a leading zero is an error too.
+        if cells[0] != str(index):
+            if not _is_ascii_digits(cells[0]):
+                raise ParseError(f"non-integer token index {cells[0]!r}", i + 1)
             raise ParseError(
-                f"token index {index} out of sequence (expected {len(tokens) + 1})",
-                i + 1,
+                f"token index {cells[0]} out of sequence (expected {index})", i + 1
             )
         form = cells[1]
         # Also rejects an empty form; split() breaks on exactly str.isspace.
@@ -208,7 +207,7 @@ def _parse_block(lines, i, ids, tags):
     frames = []
     for k, column in enumerate(columns):
         try:
-            frames.append(_decode_tags(column, False, tags))
+            frames.append(_decode_tags(column, tags))
         except IllFormedTagSequence as exc:
             raise ParseError(
                 f"undecodable tag column {k + 1}: {exc}", first_token_line
@@ -220,12 +219,20 @@ def _parse_block(lines, i, ids, tags):
                 f"predicate marker disagrees with frame columns at token {j}",
                 first_token_line + j - 1,
             )
-    # The checks above already cover every other rule of validate_sentence.
+    # The checks above cover every rule of a sentence parse_corpus accepts
+    # but one: predicate indices strictly increase from frame to frame.
     last = 0
     for k, f in enumerate(frames, start=1):
         if f.predicate_index <= last:
-            violation = _frame_order_violation(k, f.predicate_index, last)
-            raise ParseError(f"invalid sentence {values['id']!r}: {violation}", header_line)
+            if f.predicate_index == last:
+                rule, why = "DuplicatePredicate", "same predicate as previous frame"
+            else:
+                rule, why = "UnorderedFrames", "predicate indices not increasing"
+            raise ParseError(
+                f"invalid sentence {values['id']!r}: {rule}: "
+                f"frame {k} (predicate {f.predicate_index}): {why}",
+                header_line,
+            )
         last = f.predicate_index
     sentence = AnnotatedSentence(
         id=values["id"],

@@ -100,7 +100,7 @@ class Frame:
 
     The predicate token itself is never inside a span.  Spans behave as a
     set: construction sorts and deduplicates them.  Construction is
-    permissive; ``validate_sentence`` reports invariant violations.
+    permissive; ``corpus.parse_corpus`` is where frames are checked.
     """
 
     predicate_index: int
@@ -147,34 +147,17 @@ class Alignment:
         object.__setattr__(self, "links", frozenset(self.links))
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant found by validate_sentence."""
-
-    rule: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.rule}: {self.message}"
-
-
-def spans_from_tags(tags, lenient: bool = False) -> Frame:
+def spans_from_tags(tags) -> Frame:
     """Decode a position-tag sequence into a Frame.
 
-    Strict mode (the default) accepts exactly the tag grammar: one ``rel``,
-    and arguments written as ``S-x`` singletons or ``B-x I-x* E-x`` runs
-    with a uniform label; anything else raises IllFormedTagSequence.
-
-    Lenient mode repairs broken sequences instead: an orphan I starts a new
-    run (as if B), an orphan E becomes a singleton (as if S), an
-    unterminated run is closed at its last contiguous same-label token, and
-    ``rel`` tags after the first are ignored.  A sequence with no ``rel``
-    is unrepairable and raises in both modes.
+    Accepts exactly the tag grammar: one ``rel``, and arguments written as
+    ``S-x`` singletons or ``B-x I-x* E-x`` runs with a uniform label;
+    anything else raises IllFormedTagSequence.
     """
-    return _decode_tags(tags, lenient, {})
+    return _decode_tags(tags, {})
 
 
-def _decode_tags(tags, lenient: bool, parts: dict) -> Frame:
+def _decode_tags(tags, parts: dict) -> Frame:
     """spans_from_tags, given ``parts``: a table of the tags already known
     to be valid, each mapped to its ``split_tag``.  Tags missing from the
     table are checked and added to it."""
@@ -186,11 +169,6 @@ def _decode_tags(tags, lenient: bool, parts: dict) -> Frame:
     def fail(pos, why):
         raise IllFormedTagSequence(f"position {pos}: {why}")
 
-    def close_run(end):
-        nonlocal run_label
-        spans.append(Span(run_start, end, run_label))
-        run_label = None
-
     for pos, tag in enumerate(tags, start=1):
         split = parts.get(tag)
         if split is None:
@@ -199,46 +177,26 @@ def _decode_tags(tags, lenient: bool, parts: dict) -> Frame:
             split = parts[tag] = split_tag(tag)
         position, label = split
         if run_label is not None and position in (None, "S", "B"):
-            if not lenient:
-                fail(pos, f"run B-{run_label} not closed before {tag!r}")
-            close_run(pos - 1)
+            fail(pos, f"run B-{run_label} not closed before {tag!r}")
         if position is None:
             if tag == REL_TAG:
-                if predicate is None:
-                    predicate = pos
-                elif not lenient:
+                if predicate is not None:
                     fail(pos, "more than one 'rel' tag")
+                predicate = pos
             continue
         if position == "S":
             spans.append(Span(pos, pos, label))
         elif position == "B":
             run_label, run_start = label, pos
-        elif position == "I":
-            if run_label is None:
-                if not lenient:
-                    fail(pos, "I tag outside a run")
-                run_label, run_start = label, pos
-            elif run_label != label:
-                if not lenient:
-                    fail(pos, f"label {label} disagrees with open run B-{run_label}")
-                close_run(pos - 1)
-                run_label, run_start = label, pos
-        else:  # E
-            if run_label is None:
-                if not lenient:
-                    fail(pos, "E tag outside a run")
-                spans.append(Span(pos, pos, label))
-            elif run_label != label:
-                if not lenient:
-                    fail(pos, f"label {label} disagrees with open run B-{run_label}")
-                close_run(pos - 1)
-                spans.append(Span(pos, pos, label))
-            else:
-                close_run(pos)
+        elif run_label is None:
+            fail(pos, f"{position} tag outside a run")
+        elif run_label != label:
+            fail(pos, f"label {label} disagrees with open run B-{run_label}")
+        elif position == "E":
+            spans.append(Span(run_start, pos, run_label))
+            run_label = None
     if run_label is not None:
-        if not lenient:
-            fail(len(tags), f"run B-{run_label} never closed")
-        close_run(len(tags))
+        fail(len(tags), f"run B-{run_label} never closed")
     if predicate is None:
         raise IllFormedTagSequence("no 'rel' tag in sequence")
     return Frame(predicate, tuple(spans))
@@ -275,59 +233,3 @@ def tags_from_spans(frame: Frame, length: int) -> list[str]:
                 tags[i - 1] = make_tag("I", span.label)
             tags[span.end - 1] = make_tag("E", span.label)
     return tags
-
-
-def validate_sentence(sentence: AnnotatedSentence) -> list[Violation]:
-    """Check every type invariant; an empty list means the sentence is valid.
-
-    Violations are data, not failures: each one names the offending
-    frame/span and the rule it breaks.
-    """
-    out: list[Violation] = []
-    if not sentence.id:
-        out.append(Violation("BadMetadata", "empty sentence id"))
-    if sentence.lang not in LANGS:
-        out.append(Violation("BadMetadata", f"unknown lang {sentence.lang!r}"))
-    if sentence.side not in SIDES:
-        out.append(Violation("BadMetadata", f"unknown side {sentence.side!r}"))
-    n = len(sentence.tokens)
-    for i, token in enumerate(sentence.tokens, start=1):
-        if token.index != i:
-            out.append(
-                Violation("BadToken", f"token {i} has index {token.index}")
-            )
-        if not token.form or any(c.isspace() for c in token.form):
-            out.append(
-                Violation("BadToken", f"token {i} form {token.form!r} is empty or has whitespace")
-            )
-    last_predicate = 0
-    for k, frame in enumerate(sentence.frames, start=1):
-        where = f"frame {k} (predicate {frame.predicate_index})"
-        if not 1 <= frame.predicate_index <= n:
-            out.append(Violation("OutOfBounds", f"{where}: predicate outside 1..{n}"))
-        if frame.predicate_index <= last_predicate:
-            out.append(_frame_order_violation(k, frame.predicate_index, last_predicate))
-        last_predicate = frame.predicate_index
-        widest: Span | None = None  # earlier span with the furthest end
-        for span in frame.spans:
-            at = f"{where}: span ({span.start},{span.end},{span.label})"
-            if not 1 <= span.start <= span.end <= n:
-                out.append(Violation("OutOfBounds", f"{at} outside 1..{n}"))
-            if not is_role_label(span.label):
-                out.append(Violation("BadLabel", f"{at} has invalid label"))
-            if span.covers(frame.predicate_index):
-                out.append(Violation("CoversPredicate", f"{at} covers the predicate token"))
-            if widest is not None and spans_overlap(widest, span):
-                out.append(Violation("Overlap", f"{at} overlaps ({widest.start},{widest.end},{widest.label})"))
-            if widest is None or span.end > widest.end:
-                widest = span
-    return out
-
-
-def _frame_order_violation(k: int, predicate: int, last_predicate: int) -> Violation:
-    """The violation of frame ``k`` whose predicate does not follow the
-    previous frame's: the same token, or an earlier one."""
-    where = f"frame {k} (predicate {predicate})"
-    if predicate == last_predicate:
-        return Violation("DuplicatePredicate", f"{where}: same predicate as previous frame")
-    return Violation("UnorderedFrames", f"{where}: predicate indices not increasing")

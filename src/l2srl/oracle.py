@@ -211,7 +211,7 @@ def oracle_sequence(
 
     Returns the pre-transform baseline report and one OracleStage per
     transform; the final stage always scores F = 100.  Gold frames must be
-    valid (``validate_sentence``), as ``parse_corpus`` guarantees.
+    valid, as ``parse_corpus`` guarantees.
     """
     aligned = _aligned(pred, gold)
     sentences = []

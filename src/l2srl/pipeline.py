@@ -103,11 +103,11 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfig:
             raise ParseError(f"duplicate config key {key!r}", n)
         kind = spec[key]
         try:
-            if kind == "bool" or kind is bool:
+            if kind is bool:
                 parsed = _BOOL_VALUES[value.lower()]
-            elif kind == "int" or kind is int:
+            elif kind is int:
                 parsed = int(value)
-            elif kind == "float" or kind is float:
+            elif kind is float:
                 parsed = float(value)
             else:
                 parsed = value

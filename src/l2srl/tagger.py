@@ -61,10 +61,6 @@ class TaggerModel:
     emissions: dict = field(default_factory=dict)  # (feature, label) -> weight
     transitions: dict = field(default_factory=dict)  # (prev label, label) -> weight
 
-    @classmethod
-    def empty(cls, role_labels=()) -> "TaggerModel":
-        return cls(labels=build_label_set(role_labels))
-
 
 def build_label_set(role_labels) -> list[str]:
     """Canonical label order: O, rel, then S/B/I/E per sorted role label."""

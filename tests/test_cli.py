@@ -20,7 +20,7 @@ from l2srl import pipeline, scoring
 from l2srl.cli import build_parser, main
 from l2srl.corpus import Corpus, load_corpus, parse_corpus, render_corpus
 from l2srl.scoring import score
-from l2srl.tagger import TaggerModel, render_model
+from l2srl.tagger import TaggerModel, build_label_set, render_model
 
 
 def write(path, c):
@@ -207,7 +207,7 @@ def test_train_deterministic_byte_identical(tmp_path):
 def test_tag_with_empty_model_is_all_o(tmp_path):
     toy_file = write(tmp_path / "toy.tsv", toy_separable_corpus())
     model_file = tmp_path / "empty.txt"
-    model_file.write_bytes(render_model(TaggerModel.empty(())))
+    model_file.write_bytes(render_model(TaggerModel(build_label_set(()))))
     out_file = tmp_path / "tagged.tsv"
     assert main(["tag", str(model_file), toy_file, str(out_file)]) == 0
     tagged = load_corpus(out_file)  # strict parse proves well-formedness

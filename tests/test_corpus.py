@@ -111,6 +111,16 @@ def test_parse_error_line_numbers():
         parse_corpus(duplicate)
     assert "duplicate" in str(err.value)
 
+    bad_lang = MINIMAL.replace(b"# lang = ENG", b"# lang = XXX")
+    with pytest.raises(ParseError) as err:
+        parse_corpus(bad_lang)
+    assert err.value.line == 2
+
+    bad_side = MINIMAL.replace(b"# side = L2", b"# side = L3")
+    with pytest.raises(ParseError) as err:
+        parse_corpus(bad_side)
+    assert err.value.line == 3
+
 
 def test_frame_order_errors_are_pinned():
     header = b"# id = s1\n# lang = ENG\n# side = L2\n# pair = p1\n"
@@ -152,7 +162,7 @@ def test_form_with_unicode_whitespace_rejected(char):
         assert err.value.args == (f"line 7: bad token form {form!r}",)
 
 
-@pytest.mark.parametrize("index", ["²", "١", " 2", "+2"])
+@pytest.mark.parametrize("index", ["²", "١", " 2", "+2", "02"])
 def test_token_index_must_be_ascii_digits(index):
     data = MINIMAL.replace(b"2\teats", index.encode() + b"\teats")
     with pytest.raises(ParseError) as err:

@@ -1,11 +1,11 @@
-"""Tag/span conversion, its grammar, and sentence validation."""
+"""Tag/span conversion and its grammar."""
 
 import random
 import re
 
 import pytest
 
-from helpers import frame, sent
+from helpers import frame
 from l2srl.errors import IllFormedTagSequence, InvalidFrame
 from l2srl.model import (
     Frame,
@@ -15,7 +15,6 @@ from l2srl.model import (
     is_role_label,
     spans_from_tags,
     tags_from_spans,
-    validate_sentence,
 )
 
 LABELS = ("A0", "A1", "A2", "AM", "AM-TMP")
@@ -57,24 +56,6 @@ def test_decode_strict_rejects(tags):
         spans_from_tags(tags)
 
 
-def test_lenient_repairs():
-    # orphan I becomes a run start, unterminated run closes at its last token
-    assert spans_from_tags(["I-A0", "I-A0", "rel"], lenient=True) == frame(3, (1, 2, "A0"))
-    # orphan E becomes a singleton
-    assert spans_from_tags(["rel", "E-A1"], lenient=True) == frame(1, (2, 2, "A1"))
-    # unterminated B before O closes at the previous token
-    assert spans_from_tags(["B-A0", "O", "rel"], lenient=True) == frame(3, (1, 1, "A0"))
-    # label switch closes the old run and opens a new one
-    assert spans_from_tags(["B-A0", "I-A1", "I-A1", "rel"], lenient=True) == frame(
-        4, (1, 1, "A0"), (2, 3, "A1")
-    )
-    # surplus rel tags are ignored, the first wins
-    assert spans_from_tags(["rel", "rel", "O"], lenient=True) == frame(1)
-    # no rel is unrepairable
-    with pytest.raises(IllFormedTagSequence):
-        spans_from_tags(["O", "O"], lenient=True)
-
-
 def test_encode_examples():
     assert tags_from_spans(frame(3, (2, 2, "A0"), (4, 5, "A1")), 5) == [
         "O", "S-A0", "rel", "B-A1", "E-A1",
@@ -91,6 +72,8 @@ def test_encode_rejects_overlap_and_bounds():
         tags_from_spans(frame(2, (1, 3, "A0")), 4)  # covers the predicate
     with pytest.raises(InvalidFrame):
         tags_from_spans(frame(9), 5)  # predicate out of bounds
+    with pytest.raises(InvalidFrame):
+        tags_from_spans(frame(1, (2, 2, "A9")), 3)  # not a role label
 
 
 def _random_valid_frame(rng, n):
@@ -162,46 +145,6 @@ def test_strict_decode_agrees_with_grammar():
         else:
             rejected += 1
     assert accepted > 20 and rejected > 20  # both branches exercised
-
-
-def test_validate_sentence_clean():
-    s = sent("s1", ["a", "b", "c", "d", "e"], [frame(3, (2, 2, "A0"), (4, 5, "A1"))])
-    assert validate_sentence(s) == []
-
-
-def test_validate_sentence_out_of_bounds():
-    s = sent("s1", ["a", "b", "c", "d", "e"], [frame(3, (6, 7, "A0"))])
-    rules = [v.rule for v in validate_sentence(s)]
-    assert "OutOfBounds" in rules
-
-
-def test_validate_sentence_duplicate_predicate():
-    s = sent("s1", ["a", "b", "c"], [frame(2, (1, 1, "A0")), frame(2, (3, 3, "A1"))])
-    rules = [v.rule for v in validate_sentence(s)]
-    assert "DuplicatePredicate" in rules
-
-
-def test_validate_sentence_overlap_and_coverage():
-    s = sent("s1", ["a", "b", "c", "d"], [Frame(2, (Span(1, 1, "A0"), Span(1, 3, "A1")))])
-    rules = {v.rule for v in validate_sentence(s)}
-    assert "Overlap" in rules
-    assert "CoversPredicate" in rules
-
-
-def test_validate_sentence_non_adjacent_overlap():
-    s = sent(
-        "s1",
-        ["a", "b", "c", "d", "e", "f"],
-        [Frame(6, (Span(1, 5, "A0"), Span(2, 2, "A1"), Span(4, 4, "A2")))],
-    )
-    overlaps = [v for v in validate_sentence(s) if v.rule == "Overlap"]
-    assert len(overlaps) == 2
-
-
-def test_validate_sentence_metadata_and_tokens():
-    s = sent("s1", ["a", " b"], [], lang="XXX")
-    rules = {v.rule for v in validate_sentence(s)}
-    assert rules == {"BadMetadata", "BadToken"}
 
 
 def test_label_helpers():

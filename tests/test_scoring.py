@@ -174,12 +174,12 @@ def test_iaa_hand_counted_three_sentences():
     annotator_a = corpus(
         sent("s1", list("abc"), [frame(2, (1, 1, "A0"), (3, 3, "A1"))]),
         sent("s2", list("xyz"), [frame(2, (1, 1, "A0"), (3, 3, "AM"))]),
-        sent("s3", list("pqr"), [frame(2, (1, 1, "A0"), (3, 3, "AM"))]),
+        sent("s3", list("pqr"), [frame(2, (1, 1, "A0"), (3, 3, "AM"))], side="L1"),
     )
     annotator_b = corpus(
         sent("s1", list("abc"), [frame(2, (1, 1, "A0"), (3, 3, "A2"))]),
         sent("s2", list("xyz"), [frame(2, (1, 1, "A0"), (3, 3, "AM"))]),
-        sent("s3", list("pqr"), [frame(2, (1, 1, "A0"), (3, 3, "AM"))]),
+        sent("s3", list("pqr"), [frame(2, (1, 1, "A0"), (3, 3, "AM"))], side="L1"),
     )
     report = iaa(annotator_a, annotator_b)
     assert (report.matched, report.predicted, report.gold) == (5, 6, 6)
@@ -188,6 +188,10 @@ def test_iaa_hand_counted_three_sentences():
     assert report.per_role["AM"].f1 == 100.0
     assert report.per_role["A1"].f1 == 0.0
     assert report.per_role["A2"].f1 == 0.0
+    # `l2srl iaa` prints this same score, broken down by lang and side
+    grouped = score_grouped(annotator_a, annotator_b, "lang,side").to_dict()
+    assert sorted(grouped.pop("groups")) == ["ENG/L1", "ENG/L2"]
+    assert grouped == report.to_dict()
 
 
 def test_iaa_symmetry_random():

@@ -76,13 +76,13 @@ def test_distance_buckets():
 
 
 def test_zero_model_decodes_all_o_with_forced_rel():
-    model = TaggerModel.empty(("A0", "A1"))
+    model = TaggerModel(build_label_set(("A0", "A1")))
     s = sent("s1", ["a", "b", "c", "d"])
     assert viterbi_decode(model, s, 3) == ["O", "O", "rel", "O"]
 
 
 def test_crafted_weights_dominate():
-    model = TaggerModel.empty(("A0",))
+    model = TaggerModel(build_label_set(("A0",)))
     s = sent("s1", ["a", "b", "c"])
     model.emissions[("w0=a", "B-A0")] = 5.0
     model.emissions[("w0=b", "E-A0")] = 5.0
@@ -93,7 +93,7 @@ def test_crafted_weights_dominate():
 
 def test_grammar_never_allows_orphan_inside():
     # reward I-A0 after O heavily; the grammar must still forbid it
-    model = TaggerModel.empty(("A0",))
+    model = TaggerModel(build_label_set(("A0",)))
     s = sent("s1", ["a", "b", "c"])
     model.emissions[("w0=b", "I-A0")] = 100.0
     tags = viterbi_decode(model, s, 3)
@@ -291,7 +291,7 @@ def test_tag_looks_up_each_feature_once_per_call():
 
 
 def test_tag_sees_weights_changed_between_calls():
-    model = TaggerModel.empty(("A0",))
+    model = TaggerModel(build_label_set(("A0",)))
     s = sent("s1", ["a", "b", "c"])
     assert tag(model, s, [2]).frames == (frame(2),)
     model.emissions[("w0=a", "S-A0")] = 1.0
@@ -301,7 +301,7 @@ def test_tag_sees_weights_changed_between_calls():
 
 
 def test_decoder_raises_when_no_valid_path():
-    model = TaggerModel.empty(("A0",))
+    model = TaggerModel(build_label_set(("A0",)))
     for a in model.labels:
         for b in model.labels:
             model.transitions[(a, b)] = float("nan")
@@ -365,14 +365,14 @@ def test_train_empty_corpus_rejected():
 
 
 def test_tag_empty_predicate_list():
-    model = TaggerModel.empty(("A0",))
+    model = TaggerModel(build_label_set(("A0",)))
     s = sent("s1", ["a", "b"])
     tagged = tag(model, s, [])
     assert tagged.frames == ()
 
 
 def test_tag_validates_predicates():
-    model = TaggerModel.empty(())
+    model = TaggerModel(build_label_set(()))
     s = sent("s1", ["a", "b"])
     with pytest.raises(InvalidPredicateIndex):
         tag(model, s, [3])
@@ -467,7 +467,7 @@ def test_save_load_files(tmp_path):
 
 
 def test_empty_model_file_round_trip():
-    model = TaggerModel.empty(("A0",))
+    model = TaggerModel(build_label_set(("A0",)))
     data = render_model(model)
     reloaded = parse_model(data)
     assert reloaded.labels == model.labels
