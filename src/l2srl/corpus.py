@@ -284,7 +284,10 @@ def parse_alignments(data: bytes) -> dict[str, Alignment]:
                 left, sep, right = item.partition("-")
                 if not sep or not _is_ascii_digits(left) or not _is_ascii_digits(right):
                     raise ParseError(f"malformed link {item!r}", n)
-                links.add((int(left), int(right)))
+                i, j = int(left), int(right)
+                if f"{i}-{j}" != item:  # the canonical spelling only
+                    raise ParseError(f"link {item!r} has a leading zero", n)
+                links.add((i, j))
         result[pair_id] = Alignment(pair_id, frozenset(links))
     return result
 

@@ -11,9 +11,9 @@ seed; per-epoch shuffling uses a private RNG.
 
 import math
 import random
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -55,11 +55,79 @@ class TrainConfig:
 
 @dataclass
 class TaggerModel:
-    """Ordered label set plus sparse emission and transition weights."""
+    """Ordered label set plus sparse emission and transition weights.
+
+    ``rows`` maps a feature to its weight per label, in ``labels`` order, with
+    a zero weight stored as the int ``0``; only features with a non-zero
+    weight have a row.  ``emissions`` is the same weights keyed by
+    ``(feature, label)``.
+    """
 
     labels: list[str]
-    emissions: dict = field(default_factory=dict)  # (feature, label) -> weight
+    rows: dict = field(default_factory=dict)  # feature -> weight per label
     transitions: dict = field(default_factory=dict)  # (prev label, label) -> weight
+
+    @property
+    def emissions(self) -> "Emissions":
+        return Emissions(self)
+
+
+class Emissions(MutableMapping):
+    """A model's emission weights as a ``(feature, label) -> weight`` mapping.
+
+    Reads and writes go through to the model's ``rows``.  A zero weight is
+    absent: writing one deletes the cell, and a row left all zero is dropped.
+    Writing a label outside the model's label set raises KeyError.
+    """
+
+    def __init__(self, model: TaggerModel):
+        self._rows = model.rows
+        self._labels = model.labels
+        self._index = _label_index(tuple(model.labels))
+
+    def get(self, key, default=None):
+        f, lab = key
+        row, j = self._rows.get(f), self._index.get(lab)
+        return row[j] if row is not None and j is not None and row[j] else default
+
+    def __getitem__(self, key):
+        if (w := self.get(key)) is None:
+            raise KeyError(key)
+        return w
+
+    def __setitem__(self, key, weight):
+        f, lab = key
+        j = self._index[lab]
+        if not weight:
+            self.pop(key, None)
+            return
+        if (row := self._rows.get(f)) is None:
+            row = self._rows[f] = [0] * len(self._labels)
+        row[j] = weight
+
+    def __delitem__(self, key):
+        if self.get(key) is None:
+            raise KeyError(key)
+        f, lab = key
+        row = self._rows[f]
+        row[self._index[lab]] = 0
+        if not any(row):
+            del self._rows[f]
+
+    def __iter__(self):
+        for f, row in self._rows.items():
+            for lab, w in zip(self._labels, row):
+                if w:
+                    yield f, lab
+
+    def __len__(self):
+        return sum(len(row) - row.count(0) for row in self._rows.values())
+
+
+@lru_cache(maxsize=16)
+def _label_index(labels: tuple) -> dict:
+    """Label -> its position in ``labels``; shared, so never mutated."""
+    return {lab: j for j, lab in enumerate(labels)}
 
 
 def build_label_set(role_labels) -> list[str]:
@@ -185,7 +253,7 @@ def _lattice(grammar: Grammar, matrix) -> tuple:
 def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list[int]:
     """Best grammar-valid label-index sequence; ties break toward earlier labels.
 
-    ``feats[t]`` lists the features of token ``t`` and ``rows[f]`` holds
+    ``feats[t]`` lists the features of token ``t`` and ``rows.get(f)`` gives
     feature ``f``'s weight per label, or a false value when it has none; a
     token scores each label by adding its features' rows in feature order.
     ``lattice`` is the transition lattice ``_lattice`` built for ``grammar``.
@@ -197,6 +265,7 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
     size = len(grammar.ends)
     zero = [0] * size
     emit = []
+    weights = rows.get
     for token_feats in feats:
         # Adding the rows per label in feature order keeps float sums those
         # of sum(); skipping a missing row, or sum()'s leading int 0, can only
@@ -205,7 +274,7 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
         # change while this call runs.
         row = zero
         for f in token_feats:
-            if hit := rows[f]:
+            if hit := weights(f):
                 row = hit if row is zero else list(map(add, row, hit))
         emit.append(row)
     only_rel = lattice[rel : rel + 1]
@@ -242,33 +311,23 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
     return path
 
 
-class _Scorer(dict):
+class _Scorer:
     """Decoding state of one model, shared by the frames of one ``tag`` call.
 
-    Holds the compiled grammar and the transition lattice, and is itself the
-    memo from feature to its per-label emission row (``None`` when every
-    weight is zero), filled on first lookup.  It reads the model's weights
-    once, so it must not outlive a call: callers may change the model's
-    dicts between calls.
+    Holds the compiled grammar and the transition lattice.  It reads the
+    model's transitions once, so it must not outlive a call: callers may
+    change the model's weights between calls.
     """
 
     def __init__(self, model: TaggerModel):
         labels = model.labels
-        index = {lab: j for j, lab in enumerate(labels)}
+        index = _label_index(tuple(labels))
         matrix = [[0] * len(labels) for _ in labels]
         for (prev, lab), w in model.transitions.items():
             if prev in index and lab in index:
                 matrix[index[prev]][index[lab]] = w
         self.grammar = compile_grammar(tuple(labels))
         self.lattice = _lattice(self.grammar, matrix)
-        self.weight = model.emissions.get
-        self.labels = labels
-
-    def __missing__(self, f):
-        # weight((f, label), 0) for every label, in order
-        weights = list(map(self.weight, zip(repeat(f), self.labels), repeat(0)))
-        row = self[f] = weights if any(weights) else None
-        return row
 
 
 def viterbi_decode(
@@ -287,7 +346,9 @@ def viterbi_decode(
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
     scorer = scorer if scorer is not None else _Scorer(model)
     feats = [extract_features(sentence, predicate_index, i) for i in range(1, n + 1)]
-    path = _viterbi(scorer.grammar, scorer.lattice, feats, scorer, predicate_index - 1)
+    path = _viterbi(
+        scorer.grammar, scorer.lattice, feats, model.rows, predicate_index - 1
+    )
     return [model.labels[j] for j in path]
 
 
@@ -326,8 +387,7 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
         raise EmptyCorpus("no (sentence, frame) training sequences in corpus")
     grammar = compile_grammar(tuple(labels))
     size = len(labels)
-    # feature -> weight per label, None until the feature's first update
-    emissions = dict.fromkeys(f for feats, _, _ in sequences for fs in feats for f in fs)
+    emissions: dict = {}  # feature -> weight per label, from its first update
     emissions_lagged: dict = {}
     transitions = [[0] * size for _ in labels]  # [previous label][label]
     transitions_lagged = [[0] * size for _ in labels]
@@ -349,7 +409,7 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
             for t, (g, p) in enumerate(zip(gold, predicted)):
                 if g != p:
                     for f in feats[t]:
-                        if emissions[f] is None:
+                        if f not in emissions:
                             emissions[f] = [0] * size
                             emissions_lagged[f] = [0] * size
                         weights, lagged = emissions[f], emissions_lagged[f]
@@ -364,18 +424,23 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
                     transitions_lagged[predicted[t - 1]][p] -= lag
                     lattice = None
     model = TaggerModel(labels=labels)
-    tables = [
-        (model.emissions, f, w, emissions_lagged[f]) for f, w in emissions.items() if w
-    ]
-    tables += [
-        (model.transitions, labels[k], w, transitions_lagged[k])
-        for k, w in enumerate(transitions)
-    ]
-    for target, first, weights, lagged in tables:
-        for lab, w, lag in zip(labels, weights, lagged):
-            if summed := step * w - lag:
-                target[(first, lab)] = summed / step
+    for f, weights in emissions.items():
+        if any(row := _mean(weights, emissions_lagged[f], step)):
+            model.rows[f] = row
+    for prev, weights, lagged in zip(labels, transitions, transitions_lagged):
+        for lab, w in zip(labels, _mean(weights, lagged, step)):
+            if w:
+                model.transitions[(prev, lab)] = w
     return model
+
+
+def _mean(weights, lagged, steps: int) -> list:
+    """Each weight's mean over ``steps`` steps (see ``train``); a zero mean is
+    the int 0."""
+    return [
+        (steps * w - lag) / steps if steps * w != lag else 0
+        for w, lag in zip(weights, lagged)
+    ]
 
 
 def tag(
@@ -408,11 +473,17 @@ def tag_corpus(model: TaggerModel, corpus: Corpus) -> Corpus:
 
 def render_model(model: TaggerModel) -> bytes:
     """Canonical model file: header, label line, then sorted E/T weight rows."""
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", "\t".join(model.labels)]
-    for kind, table in (("E", model.emissions), ("T", model.transitions)):
-        for a, b in sorted(table):
-            if w := table[(a, b)]:
-                lines.append(f"{kind}\t{a}\t{b}\t{float(w)!r}")
+    labels = model.labels
+    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", "\t".join(labels)]
+    by_name = sorted(range(len(labels)), key=labels.__getitem__)
+    for f in sorted(model.rows):
+        row = model.rows[f]
+        lines.extend(
+            f"E\t{f}\t{labels[j]}\t{float(row[j])!r}" for j in by_name if row[j]
+        )
+    for a, b in sorted(model.transitions):
+        if w := model.transitions[(a, b)]:
+            lines.append(f"T\t{a}\t{b}\t{float(w)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -430,31 +501,40 @@ def parse_model(data: bytes) -> TaggerModel:
     labels = lines[1].split("\t")
     _validate_label_set(labels)
     model = TaggerModel(labels=labels)
-    known = set(labels)
+    index = _label_index(tuple(labels))
+    seen = set()
     for n, line in enumerate(lines[2:], start=3):
         cells = line.split("\t")
         if len(cells) != 4:
             raise ParseError(f"weight row needs 4 columns, got {len(cells)}", n)
         kind, a, b, raw = cells
         try:
+            # float() also reads digit-group underscores, surrounding
+            # whitespace and non-ASCII digits, none of which render back
+            if not raw.isascii() or "_" in raw or raw != raw.strip():
+                raise ValueError(raw)
             weight = float(raw)
         except ValueError:
             raise ParseError(f"bad weight {raw!r}", n) from None
         if not math.isfinite(weight):
             raise ParseError(f"non-finite weight {raw!r}", n)
         if kind == "E":
-            if b not in known:
+            if b not in index:
                 raise ParseError(f"unknown label {b!r}", n)
-            target = model.emissions
         elif kind == "T":
-            if a not in known or b not in known:
+            if a not in index or b not in index:
                 raise ParseError(f"unknown label in transition {a!r} -> {b!r}", n)
-            target = model.transitions
         else:
             raise ParseError(f"unknown row kind {kind!r}", n)
-        if (a, b) in target:
+        if (kind, a, b) in seen:
             raise ParseError(f"duplicate {kind} row for {a!r} -> {b!r}", n)
-        target[(a, b)] = weight
+        seen.add((kind, a, b))
+        if kind == "T":
+            model.transitions[(a, b)] = weight
+        elif weight:
+            if (row := model.rows.get(a)) is None:
+                row = model.rows[a] = [0] * len(labels)
+            row[index[b]] = weight
     return model
 
 

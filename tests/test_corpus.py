@@ -203,7 +203,7 @@ def test_alignment_parse_examples():
         parse_alignments(b"p1\t0-0\np1\t1-1\n")
 
 
-@pytest.mark.parametrize("index", ["²", "١", " 2", "+2"])
+@pytest.mark.parametrize("index", ["²", "١", " 2", "+2", "01", "00"])
 def test_alignment_indices_must_be_ascii_digits(index):
     for link in (f"0-{index}", f"{index}-0"):
         data = f"p0\t0-0\np1\t1-1 {link}\n".encode()

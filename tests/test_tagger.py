@@ -273,21 +273,65 @@ class _CountingDict(dict):
 
 def test_tag_looks_up_each_feature_once_per_call():
     model = train(toy_separable_corpus(), TrainConfig(epochs=3, seed=1))
-    model.emissions = _CountingDict(model.emissions)
+    model.rows = _CountingDict(model.rows)
     s = sent("s1", ["kip", "runsa", "lem", "soon", "bron", "dell", "zun"])
     predicates = [2, 4, 6]
-    distinct = {
-        f for p in predicates for i in range(1, 8) for f in extract_features(s, p, i)
-    }
-    per_frame = sum(
-        len({f for i in range(1, 8) for f in extract_features(s, p, i)}) for p in predicates
+    occurrences = sum(
+        len(extract_features(s, p, i)) for p in predicates for i in range(1, 8)
     )
-    assert len(distinct) < per_frame  # the frames share predicate-free features
+    assert occurrences == 3 * 7 * 12
     tagged = tag(model, s, predicates)
-    assert model.emissions.probes <= len(model.labels) * len(distinct)
+    assert model.rows.probes == occurrences  # whatever the size of the label set
     assert tagged.frames == tuple(
         spans_from_tags(viterbi_decode(model, s, p)) for p in predicates
     )
+
+
+def test_emissions_view_writes_through_to_rows():
+    model = TaggerModel(build_label_set(("A0",)))
+    j = model.labels.index("B-A0")
+    view = model.emissions
+    view[("w0=a", "B-A0")] = 2.5
+    view[("w0=a", "O")] = -1.0
+    assert model.rows["w0=a"][j] == 2.5 and model.rows["w0=a"][0] == -1.0
+    assert model.rows["w0=a"].count(0) == len(model.labels) - 2
+    assert len(view) == 2 and len(model.rows) == 1
+    assert view == {("w0=a", "B-A0"): 2.5, ("w0=a", "O"): -1.0}
+    assert model.emissions == view
+    model.rows["w0=b"] = [0] * len(model.labels)
+    model.rows["w0=b"][j] = 4.0
+    assert view[("w0=b", "B-A0")] == 4.0 and len(view) == 3
+    del view[("w0=a", "O")]
+    assert view == {("w0=a", "B-A0"): 2.5, ("w0=b", "B-A0"): 4.0}
+    with pytest.raises(KeyError):
+        del view[("w0=a", "O")]
+    view[("w0=a", "B-A0")] = 0  # writing a zero deletes the cell
+    assert "w0=a" not in model.rows  # and drops a row left all zero
+    assert view == {("w0=b", "B-A0"): 4.0}
+
+
+def test_emissions_view_treats_zero_as_absent():
+    model = TaggerModel(build_label_set(("A0",)))
+    model.rows["w0=a"] = [0] * len(model.labels)
+    model.rows["w0=a"][1] = 0.0
+    model.rows["w0=a"][2] = 3.0
+    view = model.emissions
+    assert ("w0=a", "O") not in view and ("w0=a", "rel") not in view
+    assert view.get(("w0=a", "O"), "absent") == "absent"
+    with pytest.raises(KeyError):
+        view[("w0=a", "O")]
+    assert len(view) == 1 and list(view) == [("w0=a", model.labels[2])]
+    view[("w0=c", "O")] = 0.0
+    assert "w0=c" not in model.rows and len(view) == 1
+
+
+def test_emissions_view_rejects_unknown_labels():
+    model = TaggerModel(build_label_set(("A0",)))
+    with pytest.raises(KeyError):
+        model.emissions[("w0=a", "S-A1")] = 1.0
+    with pytest.raises(KeyError):
+        model.emissions[("w0=a", "S-A1")] = 0
+    assert model.rows == {} and ("w0=a", "S-A1") not in model.emissions
 
 
 def test_tag_sees_weights_changed_between_calls():
@@ -448,9 +492,18 @@ def test_model_rejects_non_finite_weights(raw):
     assert info.value.line == 4
 
 
+@pytest.mark.parametrize("raw", ["1_0", " 1.5", "1.5 ", "\u0661.5"])
+def test_model_rejects_badly_spelled_weights(raw):
+    data = f"SRLMODEL v1\nO\trel\nT\tO\tO\t1.0\nE\tw0=a\tO\t{raw}\n".encode()
+    with pytest.raises(ParseError, match="bad weight") as info:
+        parse_model(data)
+    assert info.value.line == 4
+
+
 @pytest.mark.parametrize("rows", [
     "E\tw0=a\tO\t1.0\nE\tw0=a\tO\t2.0\n",
     "T\tO\trel\t1.0\nT\tO\trel\t1.0\n",
+    "E\tw0=a\tO\t0.0\nE\tw0=a\tO\t2.0\n",
 ])
 def test_model_rejects_duplicate_rows(rows):
     with pytest.raises(ParseError, match="duplicate") as info:
