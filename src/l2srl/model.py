@@ -13,7 +13,7 @@ All types are immutable values; the operations here are pure functions.
 
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 from l2srl.errors import IllFormedTagSequence, InvalidFrame
 
@@ -66,17 +66,19 @@ def is_position_tag(tag: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One gold-segmented word; ``index`` is its 1-based sentence position."""
 
     index: int
     form: str
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """A role-labeled argument span, 1-based and end-inclusive."""
+class Span(NamedTuple):
+    """A role-labeled argument span, 1-based and end-inclusive.
+
+    A Span is its own ``(start, end, label)`` triple: it hashes, compares
+    and sorts as that plain tuple.
+    """
 
     start: int
     end: int
@@ -84,10 +86,6 @@ class Span:
 
     def covers(self, index: int) -> bool:
         return self.start <= index <= self.end
-
-
-# Span's dataclass order, read at C level.
-_SPAN_ORDER = attrgetter("start", "end", "label")
 
 
 def spans_overlap(a: Span, b: Span) -> bool:
@@ -107,7 +105,7 @@ class Frame:
     spans: tuple[Span, ...] = ()
 
     def __post_init__(self):
-        normalized = tuple(sorted(set(self.spans), key=_SPAN_ORDER))
+        normalized = tuple(sorted(set(self.spans)))
         object.__setattr__(self, "spans", normalized)
 
 

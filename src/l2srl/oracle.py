@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from l2srl.corpus import Corpus
-from l2srl.model import _SPAN_ORDER, CORE_LABELS, Frame, Span, spans_overlap
-from l2srl.scoring import ScoreReport, _accumulate, _aligned
+from l2srl.model import CORE_LABELS, Frame, Span, spans_overlap
+from l2srl.scoring import ScoreReport, _accumulate, _aligned, add_counts
 
 ORACLE_SEQUENCE = ("fix", "move", "merge", "split", "boundary", "drop", "add")
 
@@ -88,7 +88,7 @@ def _merge(pred: Frame, gold: Frame) -> Frame:
     while changed:
         changed = False
         for g in gold.spans:
-            for a, b in combinations(sorted(spans, key=_SPAN_ORDER), 2):
+            for a, b in combinations(sorted(spans), 2):
                 gap = b.start - a.end - 1
                 if gap < 0 or gap > 1:
                     continue
@@ -109,7 +109,7 @@ def _split(pred: Frame, gold: Frame) -> Frame:
     changed = True
     while changed:
         changed = False
-        for s in sorted(spans, key=_SPAN_ORDER):
+        for s in sorted(spans):
             for g1, g2 in combinations(gold.spans, 2):
                 gap = g2.start - g1.end - 1
                 if gap < 0 or gap > 1:
@@ -227,7 +227,7 @@ def oracle_sequence(
             for f in pred_s.frames
         ))
         counts.append(_sentence_counts(pred_s, gold_s, am_coarse))
-        _add_counts(totals, counts[-1], 1)
+        add_counts(totals, counts[-1])
     baseline = deepcopy(totals)
     f_before = baseline.f1
     stages = []
@@ -248,9 +248,9 @@ def oracle_sequence(
             if frames is None:
                 continue
             sentences[k] = s = replace(s, frames=tuple(frames))
-            _add_counts(totals, counts[k], -1)
+            add_counts(totals, counts[k], -1)
             counts[k] = _sentence_counts(s, aligned[k][1], am_coarse)
-            _add_counts(totals, counts[k], 1)
+            add_counts(totals, counts[k])
         report = deepcopy(totals)
         stages.append(OracleStage(kind, report, f_before))
         f_before = report.f1
@@ -261,18 +261,4 @@ def _sentence_counts(pred_s, gold_s, am_coarse: bool) -> ScoreReport:
     report = ScoreReport()
     _accumulate(report, pred_s, gold_s, am_coarse)
     return report
-
-
-def _add_counts(total: ScoreReport, part: ScoreReport, sign: int) -> None:
-    """Add (sign 1) or subtract (sign -1) one sentence's counts."""
-    total.matched += sign * part.matched
-    total.predicted += sign * part.predicted
-    total.gold += sign * part.gold
-    for label, counts in part.per_role.items():
-        role = total.role(label)
-        role.matched += sign * counts.matched
-        role.predicted += sign * counts.predicted
-        role.gold += sign * counts.gold
-        if not (role.matched or role.predicted or role.gold):
-            del total.per_role[label]  # a full rescore would not create it
 

@@ -105,10 +105,11 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfig:
         try:
             if kind is bool:
                 parsed = _BOOL_VALUES[value.lower()]
-            elif kind is int:
-                parsed = int(value)
-            elif kind is float:
-                parsed = float(value)
+            elif kind in (int, float):
+                # int() and float() also take "1_0" and non-ASCII digits.
+                if not value.isascii() or "_" in value:
+                    raise ValueError(value)
+                parsed = kind(value)
             else:
                 parsed = value
         except (KeyError, ValueError):

@@ -130,21 +130,20 @@ def _aligned(pred: Corpus, gold: Corpus) -> list[tuple[AnnotatedSentence, Annota
 
 
 def _triples(sentence: AnnotatedSentence, am_coarse: bool) -> dict[int, set]:
-    """Per-predicate sets of (start, end, label) span triples."""
-    table = {}
-    for frame in sentence.frames:
-        labeled = {
-            (s.start, s.end, coarse_label(s.label) if am_coarse else s.label)
-            for s in frame.spans
-        }
-        table[frame.predicate_index] = labeled
-    return table
+    """Per-predicate sets of (start, end, label) span triples; a Span is one."""
+    if not am_coarse:
+        return {f.predicate_index: set(f.spans) for f in sentence.frames}
+    return {
+        f.predicate_index: {(s.start, s.end, coarse_label(s.label)) for s in f.spans}
+        for f in sentence.frames
+    }
 
 
 def _accumulate(report: ScoreReport, pred_s, gold_s, am_coarse: bool) -> None:
     pred_frames = _triples(pred_s, am_coarse)
     gold_frames = _triples(gold_s, am_coarse)
-    for predicate in sorted(set(pred_frames) | set(gold_frames)):
+    per_role = report.per_role
+    for predicate in pred_frames.keys() | gold_frames.keys():
         pt = pred_frames.get(predicate, set())
         gt = gold_frames.get(predicate, set())
         both = pt & gt
@@ -152,12 +151,26 @@ def _accumulate(report: ScoreReport, pred_s, gold_s, am_coarse: bool) -> None:
         report.predicted += len(pt)
         report.gold += len(gt)
         for triple in pt:
-            role = report.role(triple[2])
+            role = per_role.get(triple[2]) or report.role(triple[2])
             role.predicted += 1
             if triple in both:
                 role.matched += 1
         for triple in gt:
-            report.role(triple[2]).gold += 1
+            (per_role.get(triple[2]) or report.role(triple[2])).gold += 1
+
+
+def add_counts(total: ScoreReport, part: ScoreReport, sign: int = 1) -> None:
+    """Add (sign 1) or subtract (sign -1) the counts of ``part``."""
+    total.matched += sign * part.matched
+    total.predicted += sign * part.predicted
+    total.gold += sign * part.gold
+    for label, counts in part.per_role.items():
+        role = total.role(label)
+        role.matched += sign * counts.matched
+        role.predicted += sign * counts.predicted
+        role.gold += sign * counts.gold
+        if not (role.matched or role.predicted or role.gold):
+            del total.per_role[label]  # a full rescore would not create it
 
 
 def score(pred: Corpus, gold: Corpus, am_coarse: bool = False) -> ScoreReport:
@@ -199,9 +212,9 @@ def score_grouped(
                 raise MissingMetadata(f"sentence {gold_s.id!r} has no {part}")
             key.append(value)
         key = tuple(key)
-        group = keyed.setdefault(key, ScoreReport())
-        _accumulate(overall, pred_s, gold_s, am_coarse)
-        _accumulate(group, pred_s, gold_s, am_coarse)
+        _accumulate(keyed.setdefault(key, ScoreReport()), pred_s, gold_s, am_coarse)
+    for group in keyed.values():
+        add_counts(overall, group)
     if "side" in parts:
         axis = parts.index("side")
         for key, group in keyed.items():

@@ -160,15 +160,15 @@ def extract_features(
     predicate/side flag, and word x predicate and distance x predicate
     conjunctions.  Boundary positions use padding symbols.
     """
-    forms = [t.form for t in sentence.tokens]
-    n = len(forms)
+    tokens = sentence.tokens
+    n = len(tokens)
 
     def word(i: int) -> str:
         if i < 1:
             return PAD_START
         if i > n:
             return PAD_END
-        return forms[i - 1]
+        return tokens[i - 1].form
 
     w0 = word(position)
     wm1 = word(position - 1)

@@ -276,6 +276,21 @@ def test_retrain_unknown_config_key_exit_2(tmp_path):
     assert main(["retrain", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("epochs", "1_0"), ("epochs", "\u0661\u0660"), ("seed", "\u0663"),
+    ("p", "0.8_5"), ("p", "\u0660.\u0665"),
+])
+def test_retrain_rejects_badly_spelled_number_exit_2(tmp_path, capsys, key, value):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    lines = config.read_text(encoding="utf-8").split("\n")
+    n = next(k for k, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))
+    lines[n - 1] = f"{key} = {value}"
+    config.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["retrain", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {n}: bad value {value!r} for config key {key!r}" in err
+
+
 def test_emitted_corpora_reparse(tmp_path):
     l2_file, l1_file = _pair_files(tmp_path)
     out = tmp_path / "sel"

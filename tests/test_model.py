@@ -10,6 +10,7 @@ from l2srl.errors import IllFormedTagSequence, InvalidFrame
 from l2srl.model import (
     Frame,
     Span,
+    Token,
     coarse_label,
     is_position_tag,
     is_role_label,
@@ -64,16 +65,42 @@ def test_encode_examples():
 
 
 def test_encode_rejects_overlap_and_bounds():
-    with pytest.raises(InvalidFrame):
-        tags_from_spans(frame(2, (1, 1, "A0"), (1, 1, "A1")), 3)
-    with pytest.raises(InvalidFrame):
-        tags_from_spans(frame(1, (2, 7, "A0")), 5)
-    with pytest.raises(InvalidFrame):
-        tags_from_spans(frame(2, (1, 3, "A0")), 4)  # covers the predicate
-    with pytest.raises(InvalidFrame):
-        tags_from_spans(frame(9), 5)  # predicate out of bounds
-    with pytest.raises(InvalidFrame):
-        tags_from_spans(frame(1, (2, 2, "A9")), 3)  # not a role label
+    # The messages embed the Span repr, so they pin it as well.
+    cases = [
+        (frame(2, (1, 1, "A0"), (1, 1, "A1")), 3,
+         "span Span(start=1, end=1, label='A1') overlaps another span"),
+        (frame(1, (2, 7, "A0")), 5,
+         "span Span(start=2, end=7, label='A0') outside 1..5"),
+        (frame(2, (1, 3, "A0")), 4,
+         "span Span(start=1, end=3, label='A0') covers the predicate token"),
+        (frame(9), 5, "predicate index 9 outside 1..5"),
+        (frame(1, (2, 2, "A9")), 3,
+         "span Span(start=2, end=2, label='A9') has invalid label 'A9'"),
+    ]
+    for f, length, message in cases:
+        with pytest.raises(InvalidFrame) as excinfo:
+            tags_from_spans(f, length)
+        assert str(excinfo.value) == message
+
+
+def test_token_and_span_value_semantics():
+    span, token = Span(1, 2, "A0"), Token(3, "rice")
+    assert repr(span) == str(span) == "Span(start=1, end=2, label='A0')"
+    assert repr(token) == str(token) == "Token(index=3, form='rice')"
+    for value, name in ((span, "start"), (span, "label"), (token, "form")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert span == (1, 2, "A0") and hash(span) == hash((1, 2, "A0"))
+    rng = random.Random(5)
+    spans = [Span(rng.randint(1, 4), rng.randint(1, 4), rng.choice(LABELS))
+             for _ in range(200)]
+    assert sorted(spans) == sorted(spans, key=lambda s: (s.start, s.end, s.label))
+
+
+def test_frame_dedups_and_sorts_spans():
+    a, b, c = Span(1, 1, "A1"), Span(1, 1, "A0"), Span(4, 5, "AM")
+    assert Frame(2, (c, a, b, a, c)).spans == (b, a, c)
+    assert Frame(2, (c, a, b)) == Frame(2, (b, c, a))
 
 
 def _random_valid_frame(rng, n):

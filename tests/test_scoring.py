@@ -12,8 +12,10 @@ from helpers import (
     random_pred_gold_corpora,
     sent,
 )
+from l2srl.corpus import Corpus
 from l2srl.errors import MismatchedCorpora
 from l2srl.scoring import (
+    GROUPINGS,
     ScoreReport,
     confusion_matrix,
     confusion_to_tsv,
@@ -111,6 +113,27 @@ def test_scorer_equals_brute_force_on_random_corpora():
         report = score(pred, gold)
         bp, br, bf = brute_force_prf(pred, gold)
         assert (report.precision, report.recall, report.f1) == (bp, br, bf)
+
+
+def test_grouped_report_is_the_sum_of_its_groups():
+    rng = random.Random(29)
+    for _ in range(40):
+        pred, gold = random_pred_gold_corpora(rng, rng.randint(1, 12))
+        for group_by, parts in GROUPINGS.items():
+            for am_coarse in (False, True):
+                grouped = score_grouped(pred, gold, group_by, am_coarse)
+                overall = grouped.to_dict()
+                del overall["groups"]
+                assert overall == score(pred, gold, am_coarse).to_dict()
+                for key, report in grouped.groups.items():
+                    ids = {s.id for s in gold
+                           if "/".join(getattr(s, part) for part in parts) == key}
+                    sub_pred = Corpus(tuple(s for s in pred if s.id in ids))
+                    sub_gold = Corpus(tuple(s for s in gold if s.id in ids))
+                    expected = score(sub_pred, sub_gold, am_coarse).to_dict()
+                    got = report.to_dict()
+                    got.pop("delta_f", None)
+                    assert got == expected
 
 
 def test_grouped_delta_per_language():
