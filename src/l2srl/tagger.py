@@ -14,7 +14,7 @@ import random
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from l2srl.corpus import Corpus, text_lines, write_atomic
@@ -60,7 +60,8 @@ class TaggerModel:
     ``rows`` maps a feature to its weight per label, in ``labels`` order, with
     a zero weight stored as the int ``0``; only features with a non-zero
     weight have a row.  ``emissions`` is the same weights keyed by
-    ``(feature, label)``.
+    ``(feature, label)``: one view, reused while ``rows`` and ``labels`` are
+    the same objects (so replace ``labels`` rather than edit it in place).
     """
 
     labels: list[str]
@@ -69,7 +70,12 @@ class TaggerModel:
 
     @property
     def emissions(self) -> "Emissions":
-        return Emissions(self)
+        # The view holds rows and labels but not the model, so caching it
+        # makes no reference cycle; replacing either object replaces it.
+        view = self.__dict__.get("_emissions")
+        if view is None or view._rows is not self.rows or view._labels is not self.labels:
+            view = self._emissions = Emissions(self)
+        return view
 
 
 class Emissions(MutableMapping):
@@ -217,37 +223,61 @@ class Grammar(NamedTuple):
 
     ``predecessors[j]`` lists, ascending, every label index that may precede
     label ``j``; ``starts`` lists the labels a sequence may start with and
-    ``ends[j]`` says whether one may end with label ``j``.
+    ``ends[j]`` says whether one may end with label ``j``.  ``closed`` is the
+    predecessor list of ``rel``: the labels that close a run (O, rel, S-x,
+    E-x).  ``opening`` lists the other labels with exactly those predecessors
+    (O, S-x, B-x) and ``inner`` the rest (I-x, E-x).
     """
 
     rel: int
     predecessors: tuple
     starts: tuple
     ends: tuple
+    closed: tuple
+    opening: tuple
+    inner: tuple
 
 
 @lru_cache(maxsize=16)
 def compile_grammar(labels: tuple) -> Grammar:
     """Compile the tag grammar of ``labels`` from the reference predicates."""
     indices = range(len(labels))
+    rel = labels.index(REL_TAG)
+    predecessors = tuple(
+        tuple(k for k in indices if _can_follow(labels[k], lab)) for lab in labels
+    )
+    closed = predecessors[rel]
     return Grammar(
-        rel=labels.index(REL_TAG),
-        predecessors=tuple(
-            tuple(k for k in indices if _can_follow(labels[k], lab)) for lab in labels
-        ),
+        rel=rel,
+        predecessors=predecessors,
         starts=tuple(j for j in indices if _can_start(labels[j])),
         ends=tuple(_can_end(lab) for lab in labels),
+        closed=closed,
+        opening=tuple(j for j in indices if j != rel and predecessors[j] == closed),
+        inner=tuple(j for j in indices if predecessors[j] != closed),
     )
 
 
-def _lattice(grammar: Grammar, matrix) -> tuple:
-    """The Viterbi lattice: per label ``j``, ``(j, pairs)`` where ``pairs``
-    holds ``(k, matrix[k][j])`` for each legal predecessor ``k`` in order;
-    ``matrix[k][j]`` weighs the transition from label ``k`` to ``j``."""
-    return tuple(
-        (j, tuple([(k, matrix[k][j]) for k in preds]))
-        for j, preds in enumerate(grammar.predecessors)
-    )
+def _entry(grammar: Grammar, j: int, column) -> tuple:
+    """Label ``j``'s lattice entry; ``column[k]`` weighs the transition k -> j.
+
+    A label whose predecessors are ``grammar.closed`` gets ``(j, top,
+    column)``, ``top`` being the largest of those predecessors' weights; any
+    other label gets ``(j, pairs)``, with ``(k, column[k])`` per predecessor.
+    """
+    if j in grammar.inner:
+        return j, tuple([(k, column[k]) for k in grammar.predecessors[j]])
+    # max() skips a NaN unless it comes first; a NaN top only stops pruning
+    return j, max([column[k] for k in grammar.closed]), column
+
+
+def _lattice(grammar: Grammar, columns) -> list:
+    """The Viterbi lattice, one ``_entry`` per label; ``columns[j][k]``
+    weighs the transition from label ``k`` to label ``j``."""
+    return [_entry(grammar, j, column) for j, column in enumerate(columns)]
+
+
+_first = itemgetter(0)
 
 
 def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list[int]:
@@ -259,6 +289,13 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
     ``lattice`` is the transition lattice ``_lattice`` built for ``grammar``.
     The predicate token takes ``rel`` and every other token anything but
     ``rel``.  Raises NoValidPath when no valid sequence has a finite score.
+
+    A label whose predecessors are the closed labels scans them best score
+    first and stops at the first ``k`` with ``prev[k] + top < best``: float
+    addition rounds monotonically (and int weights, as ``train`` uses, add
+    exactly below 2**53), so no later candidate reaches or ties ``best``, and
+    the result is that of a full scan in index order.  Scores of -inf or NaN
+    are dead and left out of the scan.
     """
     neg = float("-inf")
     rel = grammar.rel
@@ -277,8 +314,10 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
             if hit := weights(f):
                 row = hit if row is zero else list(map(add, row, hit))
         emit.append(row)
-    only_rel = lattice[rel : rel + 1]
-    others = lattice[:rel] + lattice[rel + 1 :]
+    closed = grammar.closed
+    only_rel = [lattice[rel]]
+    opening = [lattice[j] for j in grammar.opening]
+    inner = [lattice[j] for j in grammar.inner]
     scores = [neg] * size
     for j in grammar.starts:
         if (j == rel) == (predicate_pos == 0):
@@ -288,15 +327,32 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
         prev, row = scores, emit[t]
         scores = [neg] * size
         pointers = [-1] * size
-        for j, pairs in only_rel if t == predicate_pos else others:
+        at_rel = t == predicate_pos
+        # Live closed labels, best score first; the sort is stable, so ties
+        # keep ascending index order.
+        ranked = [(prev[k], k) for k in closed if prev[k] > neg]
+        ranked.sort(key=_first, reverse=True)
+        for j, top, column in only_rel if at_rel else opening:
             best, best_k = neg, -1
-            for k, w in pairs:
-                candidate = prev[k] + w
-                if candidate > best:
+            for score, k in ranked:
+                candidate = score + column[k]
+                if candidate > best or (candidate == best and k < best_k):
                     best, best_k = candidate, k
+                elif score + top < best:
+                    break
             if best_k >= 0:
                 scores[j] = best + row[j]
                 pointers[j] = best_k
+        if not at_rel:
+            for j, pairs in inner:
+                best, best_k = neg, -1
+                for k, w in pairs:
+                    candidate = prev[k] + w
+                    if candidate > best:
+                        best, best_k = candidate, k
+                if best_k >= 0:
+                    scores[j] = best + row[j]
+                    pointers[j] = best_k
         back.append(pointers)
     best, best_j = neg, -1
     for j, can_end in enumerate(grammar.ends):
@@ -312,7 +368,8 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
 
 
 class _Scorer:
-    """Decoding state of one model, shared by the frames of one ``tag`` call.
+    """Decoding state of one model, shared by the frames of one ``tag`` or
+    ``tag_corpus`` call.
 
     Holds the compiled grammar and the transition lattice.  It reads the
     model's transitions once, so it must not outlive a call: callers may
@@ -327,7 +384,7 @@ class _Scorer:
             if prev in index and lab in index:
                 matrix[index[prev]][index[lab]] = w
         self.grammar = compile_grammar(tuple(labels))
-        self.lattice = _lattice(self.grammar, matrix)
+        self.lattice = _lattice(self.grammar, list(zip(*matrix)))
 
 
 def viterbi_decode(
@@ -338,8 +395,8 @@ def viterbi_decode(
 ) -> list[str]:
     """Decode the best tag sequence for one predicate of a sentence.
 
-    ``scorer`` is the state ``tag`` shares across one sentence's frames;
-    without it a fresh one is built from ``model``.
+    ``scorer`` is the state ``tag`` and ``tag_corpus`` share across the
+    frames they decode; without it a fresh one is built from ``model``.
     """
     n = len(sentence.tokens)
     if not 1 <= predicate_index <= n:
@@ -391,7 +448,8 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     emissions_lagged: dict = {}
     transitions = [[0] * size for _ in labels]  # [previous label][label]
     transitions_lagged = [[0] * size for _ in labels]
-    lattice = None  # rebuilt after a step that updates a transition weight
+    lattice = _lattice(grammar, list(zip(*transitions)))
+    changed = set()  # labels whose incoming transition weights a step updated
     step = 0
     rng = random.Random(config.seed)
     order = list(range(len(sequences)))
@@ -401,8 +459,6 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
             lag = step
             step += 1
             feats, gold, predicate_pos = sequences[index]
-            if lattice is None:
-                lattice = _lattice(grammar, transitions)
             predicted = _viterbi(grammar, lattice, feats, emissions, predicate_pos)
             if predicted == gold:
                 continue
@@ -422,7 +478,10 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
                     transitions[predicted[t - 1]][p] -= 1
                     transitions_lagged[gold[t - 1]][g] += lag
                     transitions_lagged[predicted[t - 1]][p] -= lag
-                    lattice = None
+                    changed.update((g, p))
+            for j in changed:
+                lattice[j] = _entry(grammar, j, [row[j] for row in transitions])
+            changed.clear()
     model = TaggerModel(labels=labels)
     for f, weights in emissions.items():
         if any(row := _mean(weights, emissions_lagged[f], step)):
@@ -447,6 +506,16 @@ def tag(
     model: TaggerModel, sentence: AnnotatedSentence, predicate_indices
 ) -> AnnotatedSentence:
     """Attach one decoded frame per given predicate position (gold predicates)."""
+    return _tag(model, sentence, predicate_indices, None)
+
+
+def _tag(
+    model: TaggerModel,
+    sentence: AnnotatedSentence,
+    predicate_indices,
+    scorer: "_Scorer | None",
+) -> AnnotatedSentence:
+    """``tag`` with a scorer shared by the caller; None builds one when needed."""
     n = len(sentence.tokens)
     indices = list(predicate_indices)
     if len(set(indices)) != len(indices):
@@ -454,7 +523,8 @@ def tag(
     for index in indices:
         if not 1 <= index <= n:
             raise InvalidPredicateIndex(f"predicate index {index} outside 1..{n}")
-    scorer = _Scorer(model) if indices else None
+    if indices and scorer is None:
+        scorer = _Scorer(model)
     frames = []
     for index in sorted(indices):
         tags = viterbi_decode(model, sentence, index, scorer)
@@ -464,11 +534,14 @@ def tag(
 
 def tag_corpus(model: TaggerModel, corpus: Corpus) -> Corpus:
     """Re-annotate every sentence at its own predicate positions."""
-    out = []
-    for sentence in corpus.sentences:
-        predicates = [f.predicate_index for f in sentence.frames]
-        out.append(tag(model, sentence, predicates))
-    return Corpus(tuple(out))
+    sentences = corpus.sentences
+    scorer = _Scorer(model) if any(s.frames for s in sentences) else None
+    return Corpus(
+        tuple(
+            _tag(model, s, [f.predicate_index for f in s.frames], scorer)
+            for s in sentences
+        )
+    )
 
 
 def render_model(model: TaggerModel) -> bytes:

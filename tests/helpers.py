@@ -8,6 +8,7 @@ import random
 from dataclasses import replace
 
 from l2srl.corpus import Corpus, SentencePair
+from l2srl.errors import NoValidPath
 from l2srl.model import (
     REL_TAG,
     Alignment,
@@ -180,7 +181,8 @@ def reference_viterbi(labels, emissions, transitions, feats, predicate_pos):
     """String-keyed grammar-constrained Viterbi straight from the predicates.
 
     Re-checks ``_can_follow`` and looks the weights up by tag strings at
-    every cell; ties break toward earlier labels.  Returns tag strings.
+    every cell; ties break toward earlier labels.  Returns tag strings, or
+    raises NoValidPath when no valid sequence has a finite score.
     """
     n = len(feats)
     neg = float("-inf")
@@ -217,6 +219,8 @@ def reference_viterbi(labels, emissions, transitions, feats, predicate_pos):
     for j, lab in enumerate(labels):
         if scores[n - 1][j] > best and _can_end(lab):
             best, best_j = scores[n - 1][j], j
+    if best_j < 0:
+        raise NoValidPath("no grammar-valid tag sequence has a finite score")
     path = [best_j]
     for t in range(n - 1, 0, -1):
         path.append(back[t][path[-1]])

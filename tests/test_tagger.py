@@ -3,6 +3,7 @@ training, and model persistence."""
 
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -179,6 +180,44 @@ def test_compiled_grammar_matches_reference_predicates():
         )
         assert grammar.ends[j] == _can_end(lab)
     assert grammar.starts == tuple(j for j, lab in enumerate(labels) if _can_start(lab))
+    closed = [lab for lab in labels if not lab.startswith(("B-", "I-"))]
+    assert [labels[k] for k in grammar.closed] == closed
+    assert len(closed) == 22 and len(grammar.opening) == 21  # rel is apart
+    for j, lab in enumerate(labels):
+        inner = lab.startswith(("I-", "E-"))
+        assert (j in grammar.inner) == inner
+        assert (j in grammar.opening) == (not inner and lab != "rel")
+
+
+def _decode_outcome(model, feats, s, pred):
+    """``viterbi_decode`` and ``reference_viterbi`` on one frame: each one's
+    tags, or NoValidPath where it raised that."""
+
+    def outcome(decode, *args):
+        try:
+            return decode(*args)
+        except NoValidPath:
+            return NoValidPath
+
+    return (
+        outcome(viterbi_decode, model, s, pred),
+        outcome(
+            reference_viterbi, model.labels, model.emissions, model.transitions, feats, pred - 1
+        ),
+    )
+
+
+def _random_weights(rng, model, feats, density, weight):
+    """Set, each with probability ``density``, every emission of the
+    features in ``feats`` and every transition to ``weight()``."""
+    for f in sorted({f for fs in feats for f in fs}):
+        for lab in model.labels:
+            if rng.random() < density:
+                model.emissions[(f, lab)] = weight()
+    for a in model.labels:
+        for b in model.labels:
+            if rng.random() < density:
+                model.transitions[(a, b)] = weight()
 
 
 def test_decoder_matches_reference_decoder_on_random_models():
@@ -200,19 +239,85 @@ def test_decoder_matches_reference_decoder_on_random_models():
             if kind == 1:
                 return rng.uniform(-5, 5)
             return rng.choice(float_pool)
-        density = rng.choice((0.0, 0.1, 0.5))
-        for f in sorted({f for fs in feats for f in fs}):
-            for lab in labels:
-                if rng.random() < density:
-                    model.emissions[(f, lab)] = weight()
-        for a in labels:
-            for b in labels:
-                if rng.random() < density:
-                    model.transitions[(a, b)] = weight()
+        _random_weights(rng, model, feats, rng.choice((0.0, 0.1, 0.5)), weight)
         expected = reference_viterbi(
             labels, model.emissions, model.transitions, feats, pred - 1
         )
         assert viterbi_decode(model, s, pred) == expected, trial
+
+
+def test_pruned_decoder_matches_reference_on_the_ten_role_grammar():
+    """All 42 labels: the closed-label scan stops early yet ties break as a
+    full scan's, with small ints (dense ties) and with 1e16-scale floats,
+    whose sums round."""
+    rng = random.Random(1010)
+    labels = build_label_set(TEN_ROLES)
+    huge = (1e16, -1e16, 3e16, 2.0, -2.0, 1.0, 0.5, -0.5)
+    for trial in range(60):
+        model = TaggerModel(labels=list(labels))
+        n = rng.randint(1, 10)
+        s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
+        pred = rng.randint(1, n)
+        feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
+        if trial % 2:
+            weight = lambda: rng.choice(huge)
+        else:
+            weight = lambda: rng.randint(-2, 2)
+        _random_weights(rng, model, feats, rng.choice((0.2, 0.6, 0.9)), weight)
+        fast, expected = _decode_outcome(model, feats, s, pred)
+        assert fast == expected, trial
+
+
+def test_pruned_decoder_matches_reference_with_non_finite_weights():
+    """NaN scores are dead, as in the reference (sorting by them would leave
+    the scan out of order), and infinite ones break neither the scan's order
+    nor its stopping bound."""
+    rng = random.Random(77)
+    pool = (float("nan"), float("nan"), float("inf"), float("-inf"))
+    outcomes = set()
+    for trial in range(300):
+        labels = build_label_set(rng.sample(TEN_ROLES, rng.randint(3, 10)))
+        model = TaggerModel(labels=labels)
+        n = rng.randint(2, 8)
+        s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
+        pred = rng.randint(1, n)
+        feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
+        for t in range(n):  # dense finite weights, so many closed labels live
+            for lab in labels:
+                model.emissions[(feats[t][0], lab)] = rng.uniform(-3, 3)
+        for a in labels:
+            for b in labels:
+                model.transitions[(a, b)] = rng.uniform(-3, 3)
+        for _ in range(rng.randint(1, 6)):  # then a few non-finite cells
+            weight = rng.choice(pool)
+            if rng.random() < 0.7:
+                model.emissions[(rng.choice(feats)[0], rng.choice(labels))] = weight
+            else:
+                model.transitions[(rng.choice(labels), rng.choice(labels))] = weight
+        fast, expected = _decode_outcome(model, feats, s, pred)
+        assert fast == expected, trial
+        outcomes.add(fast is NoValidPath)
+    assert outcomes == {True, False}  # both decodes and dead lattices were seen
+
+
+def test_pruned_decoder_matches_reference_on_parsed_models_with_any_label_order():
+    """The closed labels come from the grammar, not from where ``O`` sits."""
+    rng = random.Random(31)
+    for trial in range(40):
+        labels = build_label_set(rng.sample(TEN_ROLES, rng.randint(1, 10)))
+        rng.shuffle(labels)
+        if labels[0] == "O":
+            labels.append(labels.pop(0))
+        model = TaggerModel(labels=labels)
+        n = rng.randint(1, 9)
+        s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
+        pred = rng.randint(1, n)
+        feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
+        _random_weights(rng, model, feats, 0.5, lambda: rng.choice((-1.5, -1, 0.25, 1, 3)))
+        parsed = parse_model(render_model(model))
+        assert parsed.labels == labels and parsed.labels[0] != "O"
+        fast, expected = _decode_outcome(parsed, feats, s, pred)
+        assert fast == expected, trial
 
 
 def test_tag_matches_reference_decoder_on_multi_frame_sentences():
@@ -240,14 +345,7 @@ def test_tag_matches_reference_decoder_on_multi_frame_sentences():
                 return rng.uniform(-5, 5)
             return rng.choice(pools[kind - 2])
         density = rng.choice((0.0, 0.1, 0.5))
-        for f in sorted({f for fs in feats.values() for t in fs for f in t}):
-            for lab in labels:
-                if rng.random() < density:
-                    model.emissions[(f, lab)] = weight()
-        for a in labels:
-            for b in labels:
-                if rng.random() < density:
-                    model.transitions[(a, b)] = weight()
+        _random_weights(rng, model, [t for fs in feats.values() for t in fs], density, weight)
         expected = tuple(
             spans_from_tags(
                 reference_viterbi(labels, model.emissions, model.transitions, feats[p], p - 1)
@@ -334,6 +432,21 @@ def test_emissions_view_rejects_unknown_labels():
     assert model.rows == {} and ("w0=a", "S-A1") not in model.emissions
 
 
+def test_emissions_view_is_reused_until_rows_or_labels_are_replaced():
+    model = TaggerModel(build_label_set(("A0",)))
+    view = model.emissions
+    view[("w0=a", "O")] = 1.0
+    assert model.emissions is view
+    model.rows = {"w0=b": [2.0] + [0] * (len(model.labels) - 1)}
+    assert model.emissions is not view and model.emissions == {("w0=b", "O"): 2.0}
+    view = model.emissions
+    model.labels = ["rel", "O"] + model.labels[2:]
+    assert model.emissions is not view and model.emissions == {("w0=b", "rel"): 2.0}
+    alive = weakref.ref(model)
+    del model, view
+    assert alive() is None  # freed by reference counting: no model-view cycle
+
+
 def test_tag_sees_weights_changed_between_calls():
     model = TaggerModel(build_label_set(("A0",)))
     s = sent("s1", ["a", "b", "c"])
@@ -375,6 +488,12 @@ def test_train_matches_reference_averaged_perceptron():
             rng, 12, labels=("A0", "A1", "AM", "AM-LOC", "AM-TMP")
         )
         cases.append((gold, TrainConfig(epochs=rng.randint(1, 4), seed=seed)))
+    # Ten roles, 42 labels: train patches the lattice entry of every label
+    # whose incoming transitions a step changed, over many steps.
+    for seed in range(3):
+        rng = random.Random(100 + seed)
+        _, gold = random_pred_gold_corpora(rng, 16, labels=TEN_ROLES)
+        cases.append((gold, TrainConfig(epochs=3, seed=seed)))
     for c, config in cases:
         model, expected = train(c, config), reference_train(c, config)
         assert model.emissions == expected.emissions
