@@ -273,12 +273,13 @@ def test_pruned_decoder_matches_reference_with_non_finite_weights():
     the scan out of order), and infinite ones break neither the scan's order
     nor its stopping bound."""
     rng = random.Random(77)
-    pool = (float("nan"), float("nan"), float("inf"), float("-inf"))
+    nan, inf = float("nan"), float("inf")
+    pool = (nan, nan, nan, inf, -inf)
     outcomes = set()
-    for trial in range(300):
-        labels = build_label_set(rng.sample(TEN_ROLES, rng.randint(3, 10)))
+    for trial in range(200):
+        labels = build_label_set(rng.sample(TEN_ROLES, rng.randint(5, 10)))
         model = TaggerModel(labels=labels)
-        n = rng.randint(2, 8)
+        n = rng.randint(3, 8)
         s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
         pred = rng.randint(1, n)
         feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
@@ -288,9 +289,9 @@ def test_pruned_decoder_matches_reference_with_non_finite_weights():
         for a in labels:
             for b in labels:
                 model.transitions[(a, b)] = rng.uniform(-3, 3)
-        for _ in range(rng.randint(1, 6)):  # then a few non-finite cells
+        for _ in range(rng.randint(2, 10)):  # then a few non-finite cells
             weight = rng.choice(pool)
-            if rng.random() < 0.7:
+            if rng.random() < 0.9:
                 model.emissions[(rng.choice(feats)[0], rng.choice(labels))] = weight
             else:
                 model.transitions[(rng.choice(labels), rng.choice(labels))] = weight
@@ -490,7 +491,7 @@ def test_train_matches_reference_averaged_perceptron():
         cases.append((gold, TrainConfig(epochs=rng.randint(1, 4), seed=seed)))
     # Ten roles, 42 labels: train patches the lattice entry of every label
     # whose incoming transitions a step changed, over many steps.
-    for seed in range(3):
+    for seed in range(2):
         rng = random.Random(100 + seed)
         _, gold = random_pred_gold_corpora(rng, 16, labels=TEN_ROLES)
         cases.append((gold, TrainConfig(epochs=3, seed=seed)))
