@@ -171,8 +171,7 @@ def heuristic_align(l2: AnnotatedSentence, l1: AnnotatedSentence) -> Alignment:
     pass over the remaining identical forms.  Tokens with different forms are
     never linked.
     """
-    a = [t.form for t in l2.tokens]
-    b = [t.form for t in l1.tokens]
+    a, b = l2.forms, l1.forms
     n, m = len(a), len(b)
     # lengths[i][j]: LCS length of a[i:] and b[j:], built one row at a time.
     below = [0] * (m + 1)

@@ -39,7 +39,6 @@ from l2srl.model import (
     AnnotatedSentence,
     LANGS,
     SIDES,
-    Token,
     _decode_tags,
     is_position_tag,
     split_tag,
@@ -158,7 +157,7 @@ def _parse_block(lines, i, ids, tags):
         raise ParseError(f"unknown side {values['side']!r}", header_line + 2)
 
     first_token_line = i + 1
-    tokens: list[Token] = []
+    forms: list[str] = []
     marked: list[bool] = []
     columns: list[list[str]] = []
     n_frames = None
@@ -175,7 +174,7 @@ def _parse_block(lines, i, ids, tags):
             raise ParseError(
                 f"bad column count: expected {3 + n_frames}, got {len(cells)}", i + 1
             )
-        index = len(tokens) + 1
+        index = len(forms) + 1
         # The canonical spelling only, so a leading zero is an error too.
         if cells[0] != str(index):
             if not _is_ascii_digits(cells[0]):
@@ -195,10 +194,10 @@ def _parse_block(lines, i, ids, tags):
                     raise ParseError(f"undecodable tag {cell!r} in frame column {k + 1}", i + 1)
                 tags[cell] = split_tag(cell)
             columns[k].append(cell)
-        tokens.append(Token(index, form))
+        forms.append(form)
         marked.append(cells[2] == "Y")
         i += 1
-    if not tokens:
+    if not forms:
         raise ParseError("sentence block has no token lines", first_token_line)
     if i >= len(lines) or lines[i] != "":
         raise ParseError("expected blank line after sentence block", i + 1)
@@ -239,7 +238,7 @@ def _parse_block(lines, i, ids, tags):
         lang=values["lang"],
         side=values["side"],
         pair_id=values["pair"],
-        tokens=tuple(tokens),
+        forms=tuple(forms),
         frames=tuple(frames),
     )
     return sentence, i
@@ -253,12 +252,12 @@ def render_corpus(corpus: Corpus) -> bytes:
         out.append(f"# lang = {s.lang}")
         out.append(f"# side = {s.side}")
         out.append(f"# pair = {s.pair_id}")
-        columns = [tags_from_spans(f, len(s.tokens)) for f in s.frames]
+        columns = [tags_from_spans(f, len(s)) for f in s.frames]
         predicates = {f.predicate_index for f in s.frames}
-        for t in s.tokens:
-            marker = "Y" if t.index in predicates else "_"
-            cells = [str(t.index), t.form, marker]
-            cells.extend(column[t.index - 1] for column in columns)
+        for index, form in enumerate(s.forms, start=1):
+            marker = "Y" if index in predicates else "_"
+            cells = [str(index), form, marker]
+            cells.extend(column[index - 1] for column in columns)
             out.append("\t".join(cells))
         out.append("")
     if not out:
@@ -368,7 +367,7 @@ def pair_corpora(
         bad = [
             (i, j)
             for i, j in alignment.links
-            if not (0 <= i < len(s2.tokens) and 0 <= j < len(s1.tokens))
+            if not (0 <= i < len(s2) and 0 <= j < len(s1))
         ]
         if bad:
             problems.append(f"pair {pair_id!r} alignment link {min(bad)} out of range")

@@ -1,12 +1,12 @@
 """Core data model for role-labeled sentences.
 
-Sentences are sequences of 1-based tokens; each predicate occurrence carries a
-frame of role-labeled argument spans.  Role labels follow the CPB-style
-inventory: core arguments ``A0``..``A4`` and adjuncts ``AM``, optionally
-subtyped (``AM-TMP``).  A frame can equivalently be viewed as a sequence of
-position tags over the sentence: ``O`` outside any argument, ``rel`` on the
-predicate token, and ``S-``/``B-``/``I-``/``E-`` prefixed labels marking
-single-token, begin, inside, and end positions of argument spans.
+A sentence stores its word forms; ``tokens`` is a derived view of 1-based
+Tokens.  Each predicate occurrence carries a frame of role-labeled argument
+spans.  Role labels follow the CPB-style inventory: core arguments
+``A0``..``A4`` and adjuncts ``AM``, optionally subtyped (``AM-TMP``).  A
+frame is also a sequence of position tags over the sentence: ``O`` outside
+any argument, ``rel`` on the predicate token, and ``S-``/``B-``/``I-``/``E-``
+prefixed labels for single-token, begin, inside and end span positions.
 
 All types are immutable values; the operations here are pure functions.
 """
@@ -115,19 +115,20 @@ class AnnotatedSentence:
     lang: str
     side: str
     pair_id: str
-    tokens: tuple[Token, ...]
+    forms: tuple[str, ...]
     frames: tuple[Frame, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "forms", tuple(self.forms))
         object.__setattr__(self, "frames", tuple(self.frames))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.forms)
 
     @property
-    def forms(self) -> tuple[str, ...]:
-        return tuple(t.form for t in self.tokens)
+    def tokens(self) -> tuple[Token, ...]:
+        """The forms as 1-based Tokens, built on each read."""
+        return tuple(Token(i, form) for i, form in enumerate(self.forms, start=1))
 
 
 @dataclass(frozen=True)

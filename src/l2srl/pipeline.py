@@ -110,6 +110,9 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfig:
                 if not value.isascii() or "_" in value:
                     raise ValueError(value)
                 parsed = kind(value)
+            elif not value:
+                # Joined with base_dir, an empty path would name its directory.
+                raise ValueError(value)
             else:
                 parsed = value
         except (KeyError, ValueError):

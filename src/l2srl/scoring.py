@@ -121,7 +121,7 @@ def _aligned(pred: Corpus, gold: Corpus) -> list[tuple[AnnotatedSentence, Annota
     out = []
     for gold_sentence in gold.sentences:
         pred_sentence = pred_by_id[gold_sentence.id]
-        if len(pred_sentence.tokens) != len(gold_sentence.tokens):
+        if len(pred_sentence) != len(gold_sentence):
             raise MismatchedCorpora(
                 f"token counts differ for sentence {gold_sentence.id!r}"
             )

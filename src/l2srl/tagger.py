@@ -166,15 +166,15 @@ def extract_features(
     predicate/side flag, and word x predicate and distance x predicate
     conjunctions.  Boundary positions use padding symbols.
     """
-    tokens = sentence.tokens
-    n = len(tokens)
+    forms = sentence.forms
+    n = len(forms)
 
     def word(i: int) -> str:
         if i < 1:
             return PAD_START
         if i > n:
             return PAD_END
-        return tokens[i - 1].form
+        return forms[i - 1]
 
     w0 = word(position)
     wm1 = word(position - 1)
@@ -398,7 +398,7 @@ def viterbi_decode(
     ``scorer`` is the state ``tag`` and ``tag_corpus`` share across the
     frames they decode; without it a fresh one is built from ``model``.
     """
-    n = len(sentence.tokens)
+    n = len(sentence)
     if not 1 <= predicate_index <= n:
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
     scorer = scorer if scorer is not None else _Scorer(model)
@@ -412,7 +412,7 @@ def viterbi_decode(
 def _training_sequences(corpus: Corpus, index: dict):
     sequences = []
     for sentence in corpus.sentences:
-        n = len(sentence.tokens)
+        n = len(sentence)
         for frame in sentence.frames:
             gold = [index[lab] for lab in tags_from_spans(frame, n)]
             feats = [
@@ -516,7 +516,7 @@ def _tag(
     scorer: "_Scorer | None",
 ) -> AnnotatedSentence:
     """``tag`` with a scorer shared by the caller; None builds one when needed."""
-    n = len(sentence.tokens)
+    n = len(sentence)
     indices = list(predicate_indices)
     if len(set(indices)) != len(indices):
         raise InvalidPredicateIndex("duplicate predicate indices")

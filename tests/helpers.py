@@ -15,7 +15,6 @@ from l2srl.model import (
     AnnotatedSentence,
     Frame,
     Span,
-    Token,
     tags_from_spans,
 )
 from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, _with_empty_counterparts, apply_oracle
@@ -38,7 +37,7 @@ def sent(sid, forms, frames=(), lang="ENG", side="L2", pair=None):
         lang=lang,
         side=side,
         pair_id=pair if pair is not None else sid,
-        tokens=tuple(Token(i, f) for i, f in enumerate(forms, start=1)),
+        forms=forms,
         frames=tuple(frames),
     )
 

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,6 +18,7 @@ from helpers import (
     sent,
     toy_separable_corpus,
 )
+import l2srl
 from l2srl import pipeline, scoring
 from l2srl.cli import build_parser, main
 from l2srl.corpus import Corpus, load_corpus, parse_corpus, render_corpus
@@ -270,6 +273,39 @@ def test_retrain_selects_from_the_tagged_pool(tmp_path):
         assert all(s == tagged[s.id] for s in selected)
 
 
+def test_retrain_outputs_do_not_depend_on_hash_seed(tmp_path):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=6, good_pairs=2)
+    text = config.read_text().replace("tag_pool = false", "tag_pool = true")
+    config.write_text(text.replace("epochs = 10", "epochs = 3"))
+    src = os.path.dirname(os.path.dirname(l2srl.__file__))
+    runs = {}
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"run{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from l2srl.cli import main; sys.exit(main())",
+             "retrain", "--config", str(config), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        runs[hash_seed] = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+    assert sorted(runs["0"]) == [
+        "baseline/model.txt",
+        "pool/pool_l1_tagged.tsv",
+        "pool/pool_l2_tagged.tsv",
+        "report.json",
+        "report.tsv",
+        "report.txt",
+        "retrained/model.txt",
+        "retrained/train_extended.tsv",
+        "selection/selected_l1.tsv",
+        "selection/selected_l2.tsv",
+        "selection/selection.tsv",
+    ]
+    assert runs["0"] == runs["12345"]
+
+
 def test_retrain_unknown_config_key_exit_2(tmp_path):
     config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
     config.write_text(config.read_text() + "mystery = 1\n")
@@ -281,6 +317,16 @@ def test_retrain_unknown_config_key_exit_2(tmp_path):
     ("p", "0.8_5"), ("p", "\u0660.\u0665"),
 ])
 def test_retrain_rejects_badly_spelled_number_exit_2(tmp_path, capsys, key, value):
+    _assert_bad_config_value(tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("key", ["train", "pool_l1", "dev", "test_l1", "alignments", "out"])
+def test_retrain_rejects_empty_path_value_exit_2(tmp_path, capsys, key):
+    _assert_bad_config_value(tmp_path, capsys, key, "")
+    assert not (tmp_path / "fix" / "baseline").exists()
+
+
+def _assert_bad_config_value(tmp_path, capsys, key, value):
     config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
     lines = config.read_text(encoding="utf-8").split("\n")
     n = next(k for k, line in enumerate(lines, start=1) if line.startswith(f"{key} = "))

@@ -21,7 +21,7 @@ from l2srl.corpus import (
     write_atomic,
 )
 from l2srl.errors import InsufficientData, PairingError, ParseError
-from l2srl.model import Alignment
+from l2srl.model import Alignment, AnnotatedSentence, Token
 
 MINIMAL = (
     b"# id = s1\n"
@@ -47,12 +47,17 @@ def test_parse_minimal_file():
 
 
 def test_write_read_round_trip_value_identity():
+    built = AnnotatedSentence(
+        "s4", "RUS", "L1", "p4", forms=["q", "r", "s"], frames=[frame(3, (1, 2, "A1"))]
+    )
     c = corpus(
         sent("s1", ["a", "b", "c"], [frame(2, (1, 1, "A0"), (3, 3, "A1"))]),
         sent("s2", ["x", "y"], [frame(1), frame(2, (1, 1, "AM-TMP"))], lang="JPN", side="L1"),
         sent("s3", ["solo"], []),
+        built,
     )
     assert parse_corpus(render_corpus(c)) == c
+    assert built.tokens == (Token(1, "q"), Token(2, "r"), Token(3, "s"))
 
 
 def test_read_write_byte_identity_on_canonical():
