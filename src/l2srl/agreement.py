@@ -170,40 +170,50 @@ def heuristic_align(l2: AnnotatedSentence, l1: AnnotatedSentence) -> Alignment:
     Longest-common-subsequence links first, then a greedy nearest-position
     pass over the remaining identical forms.  Tokens with different forms are
     never linked.
+
+    The suffix LCS lengths come from the bit-parallel LCS of Allison and Dix
+    (1986) in the form of Hyyro (2004, "Bit-parallel LCS-length computation
+    revisited"): one integer per L2 suffix instead of a table row.  The
+    traceback links equal forms first and, when the forms differ, skips the
+    L2 token on a tie (``>=``), exactly as over the full table.
     """
     a, b = l2.forms, l1.forms
     n, m = len(a), len(b)
-    # lengths[i][j]: LCS length of a[i:] and b[j:], built one row at a time.
-    below = [0] * (m + 1)
-    lengths = [below]
-    for i in range(n - 1, -1, -1):
-        form = a[i]
-        row = [0] * (m + 1)
-        right = 0
-        for j in range(m - 1, -1, -1):
-            if form == b[j]:
-                right = below[j + 1] + 1
-            elif below[j] > right:
-                right = below[j]
-            row[j] = right
-        lengths.append(row)
-        below = row
-    lengths.reverse()
+    # Both sentences are read reversed, so bit p stands for L1 position
+    # m - 1 - p.  rows[i] is the bit vector after the forms a[i:] (rows[n]
+    # has every bit set), and LCS(a[i:], b[j:]) is the number of zero bits
+    # among its low m - j bits.
+    masks: dict[str, int] = {}  # form -> bits of its L1 positions
+    for p, form in enumerate(reversed(b)):
+        masks[form] = masks.get(form, 0) | 1 << p
+    full = (1 << m) - 1
+    row = full
+    rows = [row]
+    for form in reversed(a):
+        match = row & masks.get(form, 0)
+        row = ((row + match) | (row - match)) & full
+        rows.append(row)
+    rows.reverse()
     links = set()
     unlinked = []  # L2 positions left for the greedy pass, ascending
     free: dict[str, list[int]] = {}  # form -> unlinked L1 positions, ascending
     i = j = 0
+    low = full  # the low m - j bits
     while i < n and j < m:
         if a[i] == b[j]:
             links.add((i, j))
             i += 1
             j += 1
-        elif lengths[i + 1][j] >= lengths[i][j + 1]:
+            low >>= 1
+        # LCS(a[i + 1:], b[j:]) >= LCS(a[i:], b[j + 1:]), each read as its
+        # width minus its set bits.
+        elif (rows[i] & low >> 1).bit_count() + 1 >= (rows[i + 1] & low).bit_count():
             unlinked.append(i)
             i += 1
         else:
             free.setdefault(b[j], []).append(j)
             j += 1
+            low >>= 1
     unlinked.extend(range(i, n))
     for j in range(j, m):
         free.setdefault(b[j], []).append(j)

@@ -333,6 +333,25 @@ def save_alignments(alignments: dict[str, Alignment], path) -> None:
     write_atomic(path, render_alignments(alignments))
 
 
+def sentences_by_pair(
+    corpus: Corpus, side: str, problems: list[str]
+) -> dict[str, AnnotatedSentence]:
+    """The first sentence on ``side`` per pair id, in corpus order.
+
+    A sentence on the other side, or with a pair id already taken, is left
+    out and reported in ``problems``.
+    """
+    index: dict[str, AnnotatedSentence] = {}
+    for s in corpus.sentences:
+        if s.side != side:
+            problems.append(f"sentence {s.id!r} has side {s.side}, expected {side}")
+        elif s.pair_id in index:
+            problems.append(f"duplicate pair id {s.pair_id!r} on side {side}")
+        else:
+            index[s.pair_id] = s
+    return index
+
+
 def pair_corpora(
     l2: Corpus, l1: Corpus, alignments: dict[str, Alignment]
 ) -> list[SentencePair]:
@@ -343,17 +362,8 @@ def pair_corpora(
     the matched subset so callers may report and proceed with it.
     """
     problems: list[str] = []
-    l2_by_pair: dict[str, AnnotatedSentence] = {}
-    l1_by_pair: dict[str, AnnotatedSentence] = {}
-    for corpus, expected_side, index in ((l2, "L2", l2_by_pair), (l1, "L1", l1_by_pair)):
-        for s in corpus.sentences:
-            if s.side != expected_side:
-                problems.append(f"sentence {s.id!r} has side {s.side}, expected {expected_side}")
-                continue
-            if s.pair_id in index:
-                problems.append(f"duplicate pair id {s.pair_id!r} on side {expected_side}")
-                continue
-            index[s.pair_id] = s
+    l2_by_pair = sentences_by_pair(l2, "L2", problems)
+    l1_by_pair = sentences_by_pair(l1, "L1", problems)
     pairs: list[SentencePair] = []
     for pair_id, s2 in l2_by_pair.items():
         s1 = l1_by_pair.get(pair_id)

@@ -26,6 +26,7 @@ from l2srl.corpus import (
     load_corpus,
     pair_corpora,
     save_corpus,
+    sentences_by_pair,
     write_atomic,
 )
 from l2srl.errors import ParseError
@@ -209,14 +210,16 @@ class RetrainReport:
 
 
 def heuristic_alignments(l2: Corpus, l1: Corpus) -> dict:
-    """Heuristic alignment of every L2 sentence that has an L1 sentence with
-    the same pair id, keyed by pair id."""
-    l1_by_pair = {s.pair_id: s for s in l1.sentences}
+    """Heuristic alignment of every pair id with a sentence on both sides,
+    keyed by pair id.  It aligns the sentences that ``pair_corpora`` pairs,
+    and leaves their problems to it to report."""
+    l2_by_pair = sentences_by_pair(l2, "L2", [])
+    l1_by_pair = sentences_by_pair(l1, "L1", [])
     out = {}
-    for s2 in l2.sentences:
-        s1 = l1_by_pair.get(s2.pair_id)
+    for pair_id, s2 in l2_by_pair.items():
+        s1 = l1_by_pair.get(pair_id)
         if s1 is not None:
-            out[s2.pair_id] = heuristic_align(s2, s1)
+            out[pair_id] = heuristic_align(s2, s1)
     return out
 
 

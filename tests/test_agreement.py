@@ -261,3 +261,46 @@ def test_heuristic_align_matches_reference():
         l2 = sent("p.l2", rng.choices("xyz", k=rng.randint(0, 9)), [], side="L2", pair="p")
         l1 = sent("p.l1", rng.choices("xyz", k=rng.randint(0, 9)), [], side="L1", pair="p")
         assert heuristic_align(l2, l1) == reference_align(l2, l1), trial
+
+
+def _align_case(l2_forms, l1_forms):
+    l2 = sent("p.l2", l2_forms, [], side="L2", pair="p")
+    l1 = sent("p.l1", l1_forms, [], side="L1", pair="p")
+    return l2, l1
+
+
+@pytest.mark.parametrize("alphabet", ["x", "xy", "wxyz"])
+def test_heuristic_align_matches_reference_on_long_sentences(alphabet):
+    # 60-150 tokens take the bit vectors past the 64- and 128-bit marks and
+    # over several of CPython's 30-bit integer digits.
+    rng = random.Random(len(alphabet))
+    lengths = [(63, 64), (64, 65), (127, 128), (129, 128), (150, 60)]
+    lengths += [(rng.randint(60, 150), rng.randint(60, 150)) for _ in range(10)]
+    for n, m in lengths:
+        l2, l1 = _align_case(rng.choices(alphabet, k=n), rng.choices(alphabet, k=m))
+        assert heuristic_align(l2, l1) == reference_align(l2, l1), (n, m)
+
+
+def test_heuristic_align_matches_reference_on_tied_and_edge_cases():
+    rng = random.Random(23)
+    cases = [((), ()), (("x",), ()), ((), ("x", "y"))]
+    for alphabet in ("x", "xy"):  # most steps of the traceback tie
+        for _ in range(300):
+            cases.append((rng.choices(alphabet, k=rng.randint(0, 12)),
+                           rng.choices(alphabet, k=rng.randint(0, 12))))
+    for _ in range(100):  # L1 is L2 reversed
+        forms = rng.choices("xyz", k=rng.randint(0, 40))
+        cases.append((forms, forms[::-1]))
+    for l2_forms, l1_forms in cases:
+        l2, l1 = _align_case(l2_forms, l1_forms)
+        assert heuristic_align(l2, l1) == reference_align(l2, l1), (l2_forms, l1_forms)
+
+
+def test_heuristic_align_links_identical_forms_one_to_one():
+    rng = random.Random(29)
+    for trial in range(2000):
+        l2, l1 = _align_case(rng.choices("wxyz", k=rng.randint(0, 30)),
+                             rng.choices("wxyz", k=rng.randint(0, 30)))
+        links = heuristic_align(l2, l1).links
+        assert all(l2.forms[i] == l1.forms[j] for i, j in links), trial
+        assert len({i for i, _ in links}) == len({j for _, j in links}) == len(links), trial

@@ -22,6 +22,7 @@ from l2srl.corpus import (
 )
 from l2srl.errors import InsufficientData, PairingError, ParseError
 from l2srl.model import Alignment, AnnotatedSentence, Token
+from l2srl.pipeline import heuristic_alignments
 
 MINIMAL = (
     b"# id = s1\n"
@@ -272,6 +273,49 @@ def test_pair_corpora_missing_alignment():
     with pytest.raises(PairingError) as err:
         pair_corpora(l2, l1, aligns)
     assert any("no alignment" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize(
+    "l2_sentences, l1_sentences, problem",
+    [
+        # The later L2 sentence is longer than the one paired.
+        (
+            [("a", "L2", ["x", "y"]), ("b", "L2", ["u", "v", "w", "z"])],
+            [("c", "L1", ["u", "v", "w", "z"])],
+            "duplicate pair id 'p' on side L2",
+        ),
+        # The later L2 sentence's links would join u to q.
+        (
+            [("a", "L2", ["u", "q"]), ("b", "L2", ["q", "v"])],
+            [("c", "L1", ["q", "v"])],
+            "duplicate pair id 'p' on side L2",
+        ),
+        (
+            [("a", "L2", ["q", "v"])],
+            [("c", "L1", ["q", "v"]), ("d", "L1", ["v", "q"])],
+            "duplicate pair id 'p' on side L1",
+        ),
+        # A sentence on the wrong side is not the one paired.
+        (
+            [("a", "L1", ["u", "q"]), ("b", "L2", ["q", "v"])],
+            [("c", "L1", ["q", "v"])],
+            "sentence 'a' has side L1, expected L2",
+        ),
+    ],
+    ids=["later-l2-longer", "later-l2-other-forms", "later-l1", "wrong-side-first"],
+)
+def test_heuristic_alignments_align_the_sentences_that_are_paired(
+    l2_sentences, l1_sentences, problem
+):
+    def side(sentences):
+        return corpus(*(sent(sid, forms, side=s, pair="p") for sid, s, forms in sentences))
+
+    l2, l1 = side(l2_sentences), side(l1_sentences)
+    with pytest.raises(PairingError) as err:
+        pair_corpora(l2, l1, heuristic_alignments(l2, l1))
+    assert err.value.problems == [problem]
+    [pair] = err.value.pairs
+    assert all(pair.l2.forms[i] == pair.l1.forms[j] for i, j in pair.alignment.links)
 
 
 def _pairs_for_split(per_lang=150, langs=("ENG", "JPN", "RUS", "ARA")):
