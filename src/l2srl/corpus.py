@@ -157,8 +157,94 @@ def _parse_block(lines, i, ids, tags):
         raise ParseError(f"unknown side {values['side']!r}", header_line + 2)
 
     first_token_line = i + 1
+    block = _accept_token_lines(lines, i, tags) or _check_token_lines(lines, i, tags)
+    forms, markers, columns, i = block
+
+    frames = []
+    for k, column in enumerate(columns):
+        try:
+            frames.append(_decode_tags(column, tags))
+        except IllFormedTagSequence as exc:
+            raise ParseError(
+                f"undecodable tag column {k + 1}: {exc}", first_token_line
+            ) from None
+    predicates = {f.predicate_index for f in frames}
+    # The Y markers sit exactly on the predicates when there are as many of
+    # them and each predicate has one; else the scan finds the first line.
+    if markers.count("Y") != len(predicates) or any(
+        markers[j - 1] != "Y" for j in predicates
+    ):
+        for j, marker in enumerate(markers, start=1):
+            if (marker == "Y") != (j in predicates):
+                raise ParseError(
+                    f"predicate marker disagrees with frame columns at token {j}",
+                    first_token_line + j - 1,
+                )
+    # The checks above cover every rule of a sentence parse_corpus accepts
+    # but one: predicate indices strictly increase from frame to frame.
+    last = 0
+    for k, f in enumerate(frames, start=1):
+        if f.predicate_index <= last:
+            if f.predicate_index == last:
+                rule, why = "DuplicatePredicate", "same predicate as previous frame"
+            else:
+                rule, why = "UnorderedFrames", "predicate indices not increasing"
+            raise ParseError(
+                f"invalid sentence {values['id']!r}: {rule}: "
+                f"frame {k} (predicate {f.predicate_index}): {why}",
+                header_line,
+            )
+        last = f.predicate_index
+    sentence = AnnotatedSentence(
+        id=values["id"],
+        lang=values["lang"],
+        side=values["side"],
+        pair_id=values["pair"],
+        forms=tuple(forms),
+        frames=tuple(frames),
+    )
+    return sentence, i
+
+
+def _accept_token_lines(lines, i, tags):
+    """The token lines from ``lines[i]`` to the next blank line as (forms,
+    markers, tag columns, the index after the blank line) when they pass
+    every check of _check_token_lines, else None.
+
+    Checks the block a column at a time.  It only accepts: on anything else
+    the per-line checks run and raise, so they stay the only source of
+    token-line errors.  Valid tags new to ``tags`` are added to it.
+    """
+    try:
+        end = lines.index("", i)
+    except ValueError:
+        return None
+    rows = [line.split("\t") for line in lines[i:end]]
+    widths = set(map(len, rows))
+    if len(widths) != 1 or widths.pop() < 3:
+        return None
+    indices, forms, markers, *columns = zip(*rows)
+    if (
+        indices != _indices(len(rows))
+        # Exactly the per-form rule: each form non-empty, no whitespace.
+        or " ".join(forms).split() != list(forms)
+        or not {*markers} <= {"Y", "_"}
+    ):
+        return None
+    for tag in set().union(*columns):
+        if tag not in tags:
+            if not is_position_tag(tag):
+                return None
+            tags[tag] = split_tag(tag)
+    return forms, markers, columns, end + 1
+
+
+def _check_token_lines(lines, i, tags):
+    """What _accept_token_lines returns, checked one line at a time;
+    raises ParseError with the line number of the first broken rule."""
+    first_token_line = i + 1
     forms: list[str] = []
-    marked: list[bool] = []
+    markers: list[str] = []
     columns: list[list[str]] = []
     n_frames = None
     while i < len(lines) and lines[i] != "":
@@ -195,70 +281,41 @@ def _parse_block(lines, i, ids, tags):
                 tags[cell] = split_tag(cell)
             columns[k].append(cell)
         forms.append(form)
-        marked.append(cells[2] == "Y")
+        markers.append(cells[2])
         i += 1
     if not forms:
         raise ParseError("sentence block has no token lines", first_token_line)
     if i >= len(lines) or lines[i] != "":
         raise ParseError("expected blank line after sentence block", i + 1)
-    i += 1
+    return forms, markers, columns, i + 1
 
-    frames = []
-    for k, column in enumerate(columns):
-        try:
-            frames.append(_decode_tags(column, tags))
-        except IllFormedTagSequence as exc:
-            raise ParseError(
-                f"undecodable tag column {k + 1}: {exc}", first_token_line
-            ) from None
-    predicates = {f.predicate_index for f in frames}
-    for j, flag in enumerate(marked, start=1):
-        if flag != (j in predicates):
-            raise ParseError(
-                f"predicate marker disagrees with frame columns at token {j}",
-                first_token_line + j - 1,
-            )
-    # The checks above cover every rule of a sentence parse_corpus accepts
-    # but one: predicate indices strictly increase from frame to frame.
-    last = 0
-    for k, f in enumerate(frames, start=1):
-        if f.predicate_index <= last:
-            if f.predicate_index == last:
-                rule, why = "DuplicatePredicate", "same predicate as previous frame"
-            else:
-                rule, why = "UnorderedFrames", "predicate indices not increasing"
-            raise ParseError(
-                f"invalid sentence {values['id']!r}: {rule}: "
-                f"frame {k} (predicate {f.predicate_index}): {why}",
-                header_line,
-            )
-        last = f.predicate_index
-    sentence = AnnotatedSentence(
-        id=values["id"],
-        lang=values["lang"],
-        side=values["side"],
-        pair_id=values["pair"],
-        forms=tuple(forms),
-        frames=tuple(frames),
-    )
-    return sentence, i
+
+_INDEX_COLUMN = tuple(map(str, range(1, 257)))
+
+
+def _indices(n: int) -> tuple[str, ...]:
+    """The token index column ``("1", ..., str(n))``, cut from a cached
+    tuple that grows on demand."""
+    global _INDEX_COLUMN
+    if len(_INDEX_COLUMN) < n:
+        _INDEX_COLUMN = tuple(map(str, range(1, 2 * n + 1)))
+    return _INDEX_COLUMN[:n]
 
 
 def render_corpus(corpus: Corpus) -> bytes:
-    """Serialize a corpus in canonical form."""
+    """Serialize a corpus in canonical form, one whole block at a time."""
     out = []
     for s in corpus.sentences:
+        n = len(s)
         out.append(f"# id = {s.id}")
         out.append(f"# lang = {s.lang}")
         out.append(f"# side = {s.side}")
         out.append(f"# pair = {s.pair_id}")
-        columns = [tags_from_spans(f, len(s)) for f in s.frames]
-        predicates = {f.predicate_index for f in s.frames}
-        for index, form in enumerate(s.forms, start=1):
-            marker = "Y" if index in predicates else "_"
-            cells = [str(index), form, marker]
-            cells.extend(column[index - 1] for column in columns)
-            out.append("\t".join(cells))
+        columns = [tags_from_spans(f, n) for f in s.frames]
+        markers = ["_"] * n
+        for f in s.frames:
+            markers[f.predicate_index - 1] = "Y"
+        out.extend(map("\t".join, zip(_indices(n), s.forms, markers, *columns)))
         out.append("")
     if not out:
         return b""

@@ -169,31 +169,36 @@ def _decode_tags(tags, parts: dict) -> Frame:
         raise IllFormedTagSequence(f"position {pos}: {why}")
 
     for pos, tag in enumerate(tags, start=1):
+        # An O costs one comparison: it is an error only inside a run.
+        if tag == O_TAG:
+            if run_label is not None:
+                fail(pos, f"run B-{run_label} not closed before {tag!r}")
+            continue
         split = parts.get(tag)
         if split is None:
             if not is_position_tag(tag):
                 fail(pos, f"unknown tag {tag!r}")
             split = parts[tag] = split_tag(tag)
         position, label = split
-        if run_label is not None and position in (None, "S", "B"):
-            fail(pos, f"run B-{run_label} not closed before {tag!r}")
-        if position is None:
-            if tag == REL_TAG:
+        if run_label is None:
+            if position == "B":
+                run_label, run_start = label, pos
+            elif position == "S":
+                spans.append(Span(pos, pos, label))
+            elif position is None:  # rel, as O is handled above
                 if predicate is not None:
                     fail(pos, "more than one 'rel' tag")
                 predicate = pos
-            continue
-        if position == "S":
-            spans.append(Span(pos, pos, label))
-        elif position == "B":
-            run_label, run_start = label, pos
-        elif run_label is None:
-            fail(pos, f"{position} tag outside a run")
-        elif run_label != label:
-            fail(pos, f"label {label} disagrees with open run B-{run_label}")
-        elif position == "E":
-            spans.append(Span(run_start, pos, run_label))
-            run_label = None
+            else:
+                fail(pos, f"{position} tag outside a run")
+        elif position == "I" or position == "E":
+            if label != run_label:
+                fail(pos, f"label {label} disagrees with open run B-{run_label}")
+            if position == "E":
+                spans.append(Span(run_start, pos, run_label))
+                run_label = None
+        else:
+            fail(pos, f"run B-{run_label} not closed before {tag!r}")
     if run_label is not None:
         fail(len(tags), f"run B-{run_label} never closed")
     if predicate is None:
@@ -215,20 +220,21 @@ def tags_from_spans(frame: Frame, length: int) -> list[str]:
     tags = [O_TAG] * length
     tags[frame.predicate_index - 1] = REL_TAG
     for span in frame.spans:
-        if not 1 <= span.start <= span.end <= length:
+        start, end, label = span
+        if not 1 <= start <= end <= length:
             raise InvalidFrame(f"span {span} outside 1..{length}")
-        if not is_role_label(span.label):
-            raise InvalidFrame(f"span {span} has invalid label {span.label!r}")
-        for i in range(span.start, span.end + 1):
-            if tags[i - 1] != O_TAG:
-                if i == frame.predicate_index:
-                    raise InvalidFrame(f"span {span} covers the predicate token")
-                raise InvalidFrame(f"span {span} overlaps another span")
-        if span.start == span.end:
-            tags[span.start - 1] = make_tag("S", span.label)
+        if not is_role_label(label):
+            raise InvalidFrame(f"span {span} has invalid label {label!r}")
+        if tags[start - 1:end].count(O_TAG) <= end - start:
+            taken = next(i for i in range(start, end + 1) if tags[i - 1] != O_TAG)
+            if taken == frame.predicate_index:
+                raise InvalidFrame(f"span {span} covers the predicate token")
+            raise InvalidFrame(f"span {span} overlaps another span")
+        # The label is checked above, so the tags are written directly.
+        if start == end:
+            tags[start - 1] = f"S-{label}"
         else:
-            tags[span.start - 1] = make_tag("B", span.label)
-            for i in range(span.start + 1, span.end):
-                tags[i - 1] = make_tag("I", span.label)
-            tags[span.end - 1] = make_tag("E", span.label)
+            tags[start - 1] = f"B-{label}"
+            tags[start:end - 1] = [f"I-{label}"] * (end - start - 1)
+            tags[end - 1] = f"E-{label}"
     return tags

@@ -305,10 +305,10 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
     weights = rows.get
     for token_feats in feats:
         # Adding the rows per label in feature order keeps float sums those
-        # of sum(); skipping a missing row, or sum()'s leading int 0, can only
-        # flip the sign of a zero score, which no comparison or later
-        # non-zero sum sees.  A lone row is not copied, so no weight row may
-        # change while this call runs.
+        # of left-to-right addition from an int 0; skipping a missing row, or
+        # that leading 0, can only flip the sign of a zero score, which no
+        # comparison or later non-zero sum sees.  A lone row is not copied,
+        # so no weight row may change while this call runs.
         row = zero
         for f in token_feats:
             if hit := weights(f):

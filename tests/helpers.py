@@ -6,6 +6,8 @@ full enumeration) and independent of the library code paths they check.
 
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import add
 
 from l2srl.corpus import Corpus, SentencePair
 from l2srl.errors import NoValidPath
@@ -180,13 +182,15 @@ def reference_viterbi(labels, emissions, transitions, feats, predicate_pos):
     """String-keyed grammar-constrained Viterbi straight from the predicates.
 
     Re-checks ``_can_follow`` and looks the weights up by tag strings at
-    every cell; ties break toward earlier labels.  Returns tag strings, or
-    raises NoValidPath when no valid sequence has a finite score.
+    every cell; ties break toward earlier labels.  Emission rows add left to
+    right from 0, as the decoder does; ``sum`` would not, since from Python
+    3.12 it compensates float rounding.  Returns tag strings, or raises
+    NoValidPath when no valid sequence has a finite score.
     """
     n = len(feats)
     neg = float("-inf")
     emit = [
-        [sum(emissions.get((f, lab), 0) for f in feats[t]) for lab in labels]
+        [reduce(add, (emissions.get((f, lab), 0) for f in feats[t]), 0) for lab in labels]
         for t in range(n)
     ]
 
@@ -303,6 +307,33 @@ def reference_oracle_sequence(pred, gold, am_coarse=False):
         stages.append(OracleStage(kind, report, f_before))
         f_before = report.f1
     return baseline, stages
+
+
+def reference_render_corpus(corpus):
+    """The canonical corpus bytes, written one token line at a time, each
+    tag read off the frame's spans at that position."""
+
+    def tag(f, index):
+        if index == f.predicate_index:
+            return REL_TAG
+        for span in f.spans:
+            if span.start <= index <= span.end:
+                if span.start == span.end:
+                    return f"S-{span.label}"
+                if index == span.start:
+                    return f"B-{span.label}"
+                return f"E-{span.label}" if index == span.end else f"I-{span.label}"
+        return "O"
+
+    text = ""
+    for s in corpus.sentences:
+        text += f"# id = {s.id}\n# lang = {s.lang}\n# side = {s.side}\n# pair = {s.pair_id}\n"
+        for index, form in enumerate(s.forms, start=1):
+            marker = "Y" if any(f.predicate_index == index for f in s.frames) else "_"
+            cells = [str(index), form, marker] + [tag(f, index) for f in s.frames]
+            text += "\t".join(cells) + "\n"
+        text += "\n"
+    return text.encode("utf-8")
 
 
 def reference_align(l2, l1):

@@ -188,9 +188,13 @@ def test_header_order_and_spacing_enforced():
 
 
 def test_predicate_marker_consistency():
-    wrong = MINIMAL.replace(b"2\teats\tY", b"2\teats\t_")
-    with pytest.raises(ParseError):
-        parse_corpus(wrong)
+    # A predicate without its Y, and a Y on a token that is no predicate.
+    cases = [(b"2\teats\tY", b"2\teats\t_", 2), (b"4\tbean\t_", b"4\tbean\tY", 4)]
+    for old, new, token in cases:
+        with pytest.raises(ParseError) as err:
+            parse_corpus(MINIMAL.replace(old, new))
+        assert err.value.line == 4 + token
+        assert f"predicate marker disagrees with frame columns at token {token}" in str(err.value)
 
 
 def test_missing_trailing_blank_line():
@@ -366,18 +370,24 @@ def test_split_insufficient_data_names_language():
 
 
 def test_random_corpora_round_trip():
-    from helpers import random_sentence
+    from helpers import random_sentence, reference_render_corpus
 
     rng = random.Random(5)
-    for trial in range(30):
-        sentences = tuple(
+    corpora = [
+        Corpus(tuple(
             random_sentence(rng, f"r{trial}.{k}", n_frames=rng.randint(0, 2))
             for k in range(rng.randint(1, 4))
-        )
-        c = Corpus(sentences)
-        data = render_corpus(c)
+        ))
+        for trial in range(30)
+    ]
+    # One sentence longer than the cached index column: parsing it grows
+    # the column, which the writer then reads.
+    n = len(l2srl.corpus._INDEX_COLUMN) + 1
+    corpora.append(Corpus((random_sentence(rng, "long", n_frames=3, length=n),)))
+    for c in corpora:
+        data = reference_render_corpus(c)
         assert parse_corpus(data) == c
-        assert render_corpus(parse_corpus(data)) == data
+        assert render_corpus(c) == data
 
 
 def test_write_atomic_replaces_the_whole_file(tmp_path):

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from helpers import random_sentence
+import l2srl.corpus
+from helpers import VOCAB, random_frame, sent
 from l2srl.corpus import Corpus, parse_alignments, parse_corpus, render_alignments, render_corpus
 from l2srl.errors import ParseError, VersionMismatch
 from l2srl.model import Alignment
@@ -48,9 +49,21 @@ def _mutate(rng, data):
     return data
 
 
+# Each block may bring roles the blocks before it did not use, so the
+# parser meets tags that are new to its table after the first block.
+BLOCK_ROLES = (
+    ("A0",), ("A0", "A1"), ("AM-TMP", "A1"), ("A2", "AM"), ("A3", "AM-LOC"), ("A4",),
+)
+
+
 def _corpus_bytes():
     rng = random.Random(5)
-    sentences = [random_sentence(rng, f"s{k}", n_frames=2, length=5) for k in range(3)]
+    sentences = []
+    for k, roles in enumerate(BLOCK_ROLES):
+        n = rng.randint(3, 7)
+        predicates = sorted(rng.sample(range(1, n + 1), 2))
+        frames = [random_frame(rng, n, p, roles) for p in predicates]
+        sentences.append(sent(f"s{k}", [rng.choice(VOCAB) for _ in range(n)], frames))
     return render_corpus(Corpus(tuple(sentences)))
 
 
@@ -88,3 +101,37 @@ def test_mutants_parse_or_raise_parse_errors(parse, canonical, mutants):
             pass
         except Exception as exc:  # any other escape is a parser bug
             pytest.fail(f"{type(exc).__name__}: {exc} on {mutant!r}")
+
+
+def _parse_outcome(data):
+    try:
+        return parse_corpus(data)
+    except ParseError as exc:
+        return exc.args
+
+
+def test_corpus_mutants_parse_alike_with_and_without_the_block_check(monkeypatch):
+    # The column-wise check may only accept: turned off, the per-line checks
+    # must give the same Corpus or the same ParseError message and line.
+    accept = l2srl.corpus._accept_token_lines
+    accepted = []
+
+    def counted(*args):
+        block = accept(*args)
+        accepted.append(block is not None)
+        return block
+
+    data = _corpus_bytes()
+    rng = random.Random(20)
+    outcomes = []
+    for _ in range(800):
+        mutant = _mutate(rng, data)
+        monkeypatch.setattr(l2srl.corpus, "_accept_token_lines", counted)
+        fast = _parse_outcome(mutant)
+        monkeypatch.setattr(l2srl.corpus, "_accept_token_lines", lambda *args: None)
+        assert _parse_outcome(mutant) == fast, mutant
+        outcomes.append(isinstance(fast, Corpus))
+    # Both paths are exercised: blocks accepted and refused, files parsed
+    # and rejected.
+    assert 0 < sum(accepted) < len(accepted)
+    assert 0 < sum(outcomes) < len(outcomes)

@@ -38,23 +38,28 @@ def test_decode_run_then_singleton():
     assert decoded == frame(4, (1, 3, "A0"), (5, 5, "AM"))
 
 
+STRICT_REJECTS = [
+    (["B-A0", "rel"], "position 2: run B-A0 not closed before 'rel'"),
+    (["I-A0", "rel"], "position 1: I tag outside a run"),
+    (["E-A0", "rel"], "position 1: E tag outside a run"),
+    (["B-A0", "I-A1", "E-A0", "rel"], "position 2: label A1 disagrees with open run B-A0"),
+    (["B-A0", "E-A1", "rel"], "position 2: label A1 disagrees with open run B-A0"),
+    (["B-A0", "B-A0", "E-A0", "rel"], "position 2: run B-A0 not closed before 'B-A0'"),
+    (["B-A0", "S-A1", "rel"], "position 2: run B-A0 not closed before 'S-A1'"),
+    (["rel", "B-A0"], "position 2: run B-A0 never closed"),
+    (["rel", "X-A0"], "position 2: unknown tag 'X-A0'"),
+    (["B-A0", "O", "E-A0", "rel"], "position 2: run B-A0 not closed before 'O'"),
+    (["rel", "B-A0", "O"], "position 3: run B-A0 not closed before 'O'"),
+]
+
+
 @pytest.mark.parametrize(
-    "tags",
-    [
-        ["B-A0", "rel"],  # unterminated B
-        ["I-A0", "rel"],  # orphan I
-        ["E-A0", "rel"],  # orphan E
-        ["B-A0", "I-A1", "E-A0", "rel"],  # label disagreement inside run
-        ["B-A0", "E-A1", "rel"],  # E label mismatch
-        ["B-A0", "B-A0", "E-A0", "rel"],  # B reopens an open run
-        ["B-A0", "S-A1", "rel"],  # S inside an open run
-        ["rel", "B-A0"],  # run open at sequence end
-        ["rel", "X-A0"],  # unknown tag
-    ],
+    "tags, message", STRICT_REJECTS, ids=[f"tags{k}" for k in range(len(STRICT_REJECTS))]
 )
-def test_decode_strict_rejects(tags):
-    with pytest.raises(IllFormedTagSequence):
+def test_decode_strict_rejects(tags, message):
+    with pytest.raises(IllFormedTagSequence) as err:
         spans_from_tags(tags)
+    assert str(err.value) == message
 
 
 def test_encode_examples():
