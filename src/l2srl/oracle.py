@@ -16,19 +16,20 @@ A transform is skipped wherever it would create overlapping spans or cover
 the predicate token.  Re-scoring after each stage gives a monotonically
 non-decreasing F that ends at 100 once everything has been dropped or added.
 
-The sequence is scored incrementally: it keeps each sentence's span counts
-and integer running totals, and after a stage rescores only the sentences
-that stage changed, so every report equals a full rescore of the corpus.
-Frames already equal to their gold frame are skipped.
+The sequence is scored a frame at a time: one [predicted, gold] frame pair
+per predicate, gold triples counted once per label, and per-label predicted
+and matched counts that take a changed frame's old triples out and its new
+ones in, so every report equals a full rescore of the corpus.  A transform
+that changes nothing returns the frame it was given.
 """
 
-from copy import deepcopy
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
 from l2srl.corpus import Corpus
 from l2srl.model import CORE_LABELS, Frame, Span, spans_overlap
-from l2srl.scoring import ScoreReport, _accumulate, _aligned, add_counts
+from l2srl.scoring import ScoreReport, _aligned, _frame_triples
 
 ORACLE_SEQUENCE = ("fix", "move", "merge", "split", "boundary", "drop", "add")
 
@@ -60,17 +61,19 @@ def _without(spans, *removed) -> list[Span]:
     return [s for s in spans if s not in gone]
 
 
+def _reframed(pred: Frame, spans) -> Frame:
+    """A frame of ``spans``; ``pred`` itself while they are still its own."""
+    return pred if spans is pred.spans else Frame(pred.predicate_index, tuple(spans))
+
+
 def _fix(pred: Frame, gold: Frame) -> Frame:
     by_bounds = {(g.start, g.end): g.label for g in gold.spans}
-    new = [
-        Span(s.start, s.end, by_bounds.get((s.start, s.end), s.label))
-        for s in pred.spans
-    ]
-    return Frame(pred.predicate_index, tuple(new))
+    new = tuple(Span(s, e, by_bounds.get((s, e), label)) for s, e, label in pred.spans)
+    return pred if new == pred.spans else Frame(pred.predicate_index, new)
 
 
 def _move(pred: Frame, gold: Frame) -> Frame:
-    spans = list(pred.spans)
+    spans = pred.spans
     for label in CORE_LABELS:
         mine = [s for s in spans if s.label == label]
         theirs = [g for g in gold.spans if g.label == label]
@@ -79,57 +82,54 @@ def _move(pred: Frame, gold: Frame) -> Frame:
         rest = _without(spans, mine[0])
         if _fits(theirs[0], rest, pred.predicate_index):
             spans = rest + [theirs[0]]
-    return Frame(pred.predicate_index, tuple(spans))
+    return _reframed(pred, spans)
 
 
 def _merge(pred: Frame, gold: Frame) -> Frame:
-    spans = list(pred.spans)
-    changed = True
-    while changed:
-        changed = False
-        for g in gold.spans:
-            for a, b in combinations(sorted(spans), 2):
-                gap = b.start - a.end - 1
-                if gap < 0 or gap > 1:
-                    continue
-                if (a.start, b.end) != (g.start, g.end):
-                    continue
-                rest = _without(spans, a, b)
-                if _fits(g, rest, pred.predicate_index):
-                    spans = rest + [g]
-                    changed = True
-                    break
-            if changed:
-                break
-    return Frame(pred.predicate_index, tuple(spans))
+    extents = {(g.start, g.end) for g in gold.spans}
+    spans = pred.spans
+    while True:
+        # Only sorted pairs with a gap of 0-1 that join into a gold extent
+        # can merge; on a frame with none, this returns pred at once.
+        joins = [(a, b) for a, b in combinations(sorted(spans), 2)
+                 if 0 < b.start - a.end < 3 and (a.start, b.end) in extents]
+        merged = next((
+            rest + [g]
+            for g in gold.spans
+            for a, b in joins
+            if (a.start, b.end) == (g.start, g.end)
+            for rest in [_without(spans, a, b)]
+            if _fits(g, rest, pred.predicate_index)
+        ), None)
+        if merged is None:
+            return _reframed(pred, spans)
+        spans = merged
 
 
 def _split(pred: Frame, gold: Frame) -> Frame:
-    spans = list(pred.spans)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(spans):
-            for g1, g2 in combinations(gold.spans, 2):
-                gap = g2.start - g1.end - 1
-                if gap < 0 or gap > 1:
-                    continue
-                if (g1.start, g2.end) != (s.start, s.end):
-                    continue
-                rest = _without(spans, s)
-                if _fits(g1, rest, pred.predicate_index) and _fits(
-                    g2, rest + [g1], pred.predicate_index
-                ):
-                    spans = rest + [g1, g2]
-                    changed = True
-                    break
-            if changed:
-                break
-    return Frame(pred.predicate_index, tuple(spans))
+    # Only a span whose extent two gold spans with a gap of 0-1 tile can
+    # split; on a frame with none, this returns pred at once.
+    tiles = [(g1, g2) for g1, g2 in combinations(gold.spans, 2) if 0 < g2.start - g1.end < 3]
+    extents = {(g1.start, g2.end) for g1, g2 in tiles}
+    spans = pred.spans
+    while True:
+        split = next((
+            rest + [g1, g2]
+            for s in sorted(spans)
+            if (s.start, s.end) in extents
+            for g1, g2 in tiles
+            if (g1.start, g2.end) == (s.start, s.end)
+            for rest in [_without(spans, s)]
+            if _fits(g1, rest, pred.predicate_index)
+            and _fits(g2, rest + [g1], pred.predicate_index)
+        ), None)
+        if split is None:
+            return _reframed(pred, spans)
+        spans = split
 
 
 def _boundary(pred: Frame, gold: Frame) -> Frame:
-    spans = list(pred.spans)
+    spans = pred.spans
     for s in pred.spans:
         if s not in spans:
             continue
@@ -150,22 +150,23 @@ def _boundary(pred: Frame, gold: Frame) -> Frame:
         rest = _without(spans, s)
         if _fits(best, rest, pred.predicate_index):
             spans = rest + [best]
-    return Frame(pred.predicate_index, tuple(spans))
+    return _reframed(pred, spans)
 
 
 def _drop(pred: Frame, gold: Frame) -> Frame:
     # Keeping only exact matches (rather than anything overlapping gold)
     # guarantees the add stage can complete the frame.
     keep = set(gold.spans)
-    return Frame(pred.predicate_index, tuple(s for s in pred.spans if s in keep))
+    kept = tuple(s for s in pred.spans if s in keep)
+    return pred if len(kept) == len(pred.spans) else Frame(pred.predicate_index, kept)
 
 
 def _add(pred: Frame, gold: Frame) -> Frame:
-    spans = list(pred.spans)
+    spans = pred.spans
     for g in gold.spans:
         if not any(spans_overlap(g, s) for s in spans):
-            spans.append(g)
-    return Frame(pred.predicate_index, tuple(spans))
+            spans = spans + (g,)
+    return _reframed(pred, spans)
 
 
 _TRANSFORMS = {
@@ -213,52 +214,49 @@ def oracle_sequence(
     transform; the final stage always scores F = 100.  Gold frames must be
     valid, as ``parse_corpus`` guarantees.
     """
-    aligned = _aligned(pred, gold)
-    sentences = []
-    golds = []  # per sentence: the gold frame of each of its predicted frames
-    counts = []  # per sentence: its span counts against gold
-    totals = ScoreReport()
-    for pred_s, gold_s in aligned:
-        pred_s = _with_empty_counterparts(pred_s, gold_s)
-        by_predicate = {f.predicate_index: f for f in gold_s.frames}
-        sentences.append(pred_s)
-        golds.append(tuple(
-            by_predicate.get(f.predicate_index, Frame(f.predicate_index))
-            for f in pred_s.frames
-        ))
-        counts.append(_sentence_counts(pred_s, gold_s, am_coarse))
-        add_counts(totals, counts[-1])
-    baseline = deepcopy(totals)
+    pairs = []  # [predicted frame, gold frame]; the last frame per predicate wins
+    for pred_s, gold_s in _aligned(pred, gold):
+        truth = {f.predicate_index: f for f in gold_s.frames}
+        frames = {f.predicate_index: f for f in _with_empty_counterparts(pred_s, gold_s).frames}
+        pairs += ([f, truth.get(p) or Frame(p)] for p, f in frames.items())
+    golds, predicted, matched = Counter(), Counter(), Counter()
+
+    def tally(pair, sign):
+        truth = _frame_triples(pair[1], am_coarse)
+        for triple in _frame_triples(pair[0], am_coarse):
+            predicted[triple[2]] += sign
+            if triple in truth:
+                matched[triple[2]] += sign
+
+    for pair in pairs:
+        golds.update(triple[2] for triple in _frame_triples(pair[1], am_coarse))
+        tally(pair, 1)
+    baseline = _report(golds, predicted, matched)
     f_before = baseline.f1
     stages = []
     for kind in ORACLE_SEQUENCE:
         transform = _TRANSFORMS[kind]
-        for k, s in enumerate(sentences):
-            frames = None
-            for j, (f, g) in enumerate(zip(s.frames, golds[k])):
-                # A frame equal to its gold frame is a fixed point of every
-                # transform, as valid gold spans never overlap.
-                if f.spans == g.spans:
-                    continue
-                new = transform(f, g)
-                if new.spans != f.spans:
-                    if frames is None:
-                        frames = list(s.frames)
-                    frames[j] = new
-            if frames is None:
-                continue
-            sentences[k] = s = replace(s, frames=tuple(frames))
-            add_counts(totals, counts[k], -1)
-            counts[k] = _sentence_counts(s, aligned[k][1], am_coarse)
-            add_counts(totals, counts[k])
-        report = deepcopy(totals)
+        # A frame equal to its gold frame is a fixed point of every
+        # transform, as valid gold spans never overlap.
+        pairs = [pair for pair in pairs if pair[0].spans != pair[1].spans]
+        for pair in pairs:
+            new = transform(*pair)
+            if new is not pair[0]:
+                tally(pair, -1)
+                pair[0] = new
+                tally(pair, 1)
+        report = _report(golds, predicted, matched)
         stages.append(OracleStage(kind, report, f_before))
         f_before = report.f1
     return baseline, stages
 
 
-def _sentence_counts(pred_s, gold_s, am_coarse: bool) -> ScoreReport:
-    report = ScoreReport()
-    _accumulate(report, pred_s, gold_s, am_coarse)
-    return report
-
+def _report(golds: Counter, predicted: Counter, matched: Counter) -> ScoreReport:
+    """The report a full rescore gives: one sub-report per label with a triple."""
+    per_role = {
+        label: ScoreReport(matched[label], predicted[label], golds[label])
+        for label in sorted(golds.keys() | predicted.keys())
+        if predicted[label] or golds[label]
+    }
+    return ScoreReport(sum(matched.values()), sum(predicted.values()),
+                       sum(golds.values()), per_role)

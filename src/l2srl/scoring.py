@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from l2srl.corpus import Corpus
 from l2srl.errors import MismatchedCorpora, MissingMetadata
-from l2srl.model import AnnotatedSentence, coarse_label
+from l2srl.model import AnnotatedSentence, Frame, coarse_label
 
 GROUPINGS = {
     "lang": ("lang",),
@@ -131,12 +131,14 @@ def _aligned(pred: Corpus, gold: Corpus) -> list[tuple[AnnotatedSentence, Annota
 
 def _triples(sentence: AnnotatedSentence, am_coarse: bool) -> dict[int, set]:
     """Per-predicate sets of (start, end, label) span triples; a Span is one."""
+    return {f.predicate_index: _frame_triples(f, am_coarse) for f in sentence.frames}
+
+
+def _frame_triples(frame: Frame, am_coarse: bool) -> set:
+    """One frame's span triples, adjunct subtypes collapsed under am_coarse."""
     if not am_coarse:
-        return {f.predicate_index: set(f.spans) for f in sentence.frames}
-    return {
-        f.predicate_index: {(s.start, s.end, coarse_label(s.label)) for s in f.spans}
-        for f in sentence.frames
-    }
+        return set(frame.spans)
+    return {(s.start, s.end, coarse_label(s.label)) for s in frame.spans}
 
 
 def _accumulate(report: ScoreReport, pred_s, gold_s, am_coarse: bool) -> None:
@@ -159,18 +161,16 @@ def _accumulate(report: ScoreReport, pred_s, gold_s, am_coarse: bool) -> None:
             (per_role.get(triple[2]) or report.role(triple[2])).gold += 1
 
 
-def add_counts(total: ScoreReport, part: ScoreReport, sign: int = 1) -> None:
-    """Add (sign 1) or subtract (sign -1) the counts of ``part``."""
-    total.matched += sign * part.matched
-    total.predicted += sign * part.predicted
-    total.gold += sign * part.gold
+def add_counts(total: ScoreReport, part: ScoreReport) -> None:
+    """Add the counts of ``part``, per role too."""
+    total.matched += part.matched
+    total.predicted += part.predicted
+    total.gold += part.gold
     for label, counts in part.per_role.items():
         role = total.role(label)
-        role.matched += sign * counts.matched
-        role.predicted += sign * counts.predicted
-        role.gold += sign * counts.gold
-        if not (role.matched or role.predicted or role.gold):
-            del total.per_role[label]  # a full rescore would not create it
+        role.matched += counts.matched
+        role.predicted += counts.predicted
+        role.gold += counts.gold
 
 
 def score(pred: Corpus, gold: Corpus, am_coarse: bool = False) -> ScoreReport:

@@ -108,6 +108,69 @@ def test_split_into_two_gold_spans():
     assert apply_oracle(pred, gold, "split") == gold
 
 
+def _merged_neighbours(rng, gold):
+    """A predicted frame that joins some runs of gold neighbours with a gap
+    of at most 1 into one span each, so split has work to do."""
+    spans = list(gold.spans)
+    k = 0
+    while k + 1 < len(spans):
+        a, b = spans[k], spans[k + 1]
+        if b.start - a.end <= 2 and rng.random() < 0.6:
+            spans[k : k + 2] = [Span(a.start, b.end, rng.choice(LABELS))]
+        else:
+            k += 1
+    return Frame(gold.predicate_index, tuple(spans))
+
+
+def test_split_matches_brute_force_tile_search():
+    rng = random.Random(12)
+    splits = 0
+    for _ in range(400):
+        n = rng.randint(4, 12)
+        predicate = rng.randint(1, n)
+        gold = random_frame(rng, n, predicate, LABELS)
+        if rng.random() < 0.7:
+            pred = _merged_neighbours(rng, gold)
+        else:
+            pred = random_frame(rng, n, predicate, LABELS)
+        split = apply_oracle(pred, gold, "split")
+
+        # brute force: a split must exist iff some span is tiled by two gold
+        # spans with gap <= 1 and the result stays overlap-free
+        def splittable(frame_now):
+            for s in frame_now.spans:
+                for g1, g2 in combinations(gold.spans, 2):
+                    if g2.start - g1.end - 1 not in (0, 1):
+                        continue
+                    if (g1.start, g2.end) != (s.start, s.end):
+                        continue
+                    rest = [r for r in frame_now.spans if r != s]
+                    if any(g.covers(predicate) for g in (g1, g2)):
+                        continue
+                    if not any(spans_overlap(g, r) for g in (g1, g2) for r in rest):
+                        return True
+            return False
+
+        assert not splittable(split)  # ran to fixpoint
+        if pred != split:
+            splits += 1
+            assert splittable(pred)
+        else:
+            assert not splittable(pred)
+    assert splits > 50
+
+
+def test_merge_and_split_keep_pred_when_the_gold_span_does_not_fit():
+    # (2,2) and (4,5) join into the gold extent (2,5), but (3,3) lies inside
+    pred = frame(7, (2, 2, "A1"), (3, 3, "A0"), (4, 5, "A1"))
+    gold = frame(7, (2, 5, "A1"))
+    assert apply_oracle(pred, gold, "merge") is pred
+    # (2,3)+(5,5) tiles (2,5), but (5,5) would overlap the predicted (5,6)
+    pred = frame(9, (2, 5, "A1"), (5, 6, "A2"))
+    gold = frame(9, (2, 3, "A0"), (5, 5, "A1"))
+    assert apply_oracle(pred, gold, "split") is pred
+
+
 def test_boundary_snaps_same_label_overlap():
     pred = frame(7, (2, 4, "A0"))
     gold = frame(7, (2, 3, "A0"))
@@ -229,6 +292,25 @@ def test_sequence_over_random_corpora_reaches_gold():
         assert score(pred_c, gold_c).f1 == baseline.f1
 
 
+def test_transforms_return_pred_itself_when_they_change_nothing():
+    rng = random.Random(47)
+    kept = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        predicate = rng.randint(1, n)
+        gold = random_frame(rng, n, predicate, LABELS)
+        if rng.random() < 0.5:
+            pred = _near_gold(rng, gold, n)
+        else:
+            pred = random_frame(rng, n, predicate, LABELS)
+        for kind in ORACLE_SEQUENCE:
+            out = apply_oracle(pred, gold, kind)
+            if out.spans == pred.spans:
+                kept += 1
+                assert out is pred, kind
+    assert kept > 1000
+
+
 def test_each_transform_maps_a_gold_frame_to_itself():
     rng = random.Random(41)
     for _ in range(300):
@@ -297,6 +379,28 @@ def test_sequence_matches_full_rescore_reference():
             got = _oracle_json(*oracle_sequence(pred, gold, am_coarse))
             want = _oracle_json(*reference_oracle_sequence(pred, gold, am_coarse))
             assert got == want, (trial, am_coarse)
+
+
+def test_sequence_keys_frames_by_predicate_like_a_full_rescore():
+    forms = list("abcdefgh")
+    gold = corpus(
+        sent("s1", forms, [frame(2, (3, 4, "AM-TMP")), frame(6, (7, 8, "A1"))]),
+        sent("s2", forms, [frame(3, (1, 2, "A0"), (4, 5, "AM-LOC"))]),
+        sent("s3", forms, [frame(4, (1, 1, "A0"))]),
+    )
+    pred = corpus(
+        # two frames on predicate 2: the last one is scored; 6 is gold-only
+        sent("s1", forms, [frame(2, (3, 4, "AM-LOC")), frame(2, (1, 1, "A0"), (3, 3, "A2"))]),
+        # a predicted-only frame on predicate 7 beside a matched one
+        sent("s2", forms, [frame(3, (1, 1, "A0"), (4, 5, "AM-TMP")), frame(7, (8, 8, "A2"))]),
+        # two frames on predicate 4, the first equal to gold
+        sent("s3", forms, [frame(4, (1, 1, "A0")), frame(4, (1, 2, "A0"), (6, 6, "AM"))]),
+    )
+    for am_coarse in (False, True):
+        got = _oracle_json(*oracle_sequence(pred, gold, am_coarse))
+        want = _oracle_json(*reference_oracle_sequence(pred, gold, am_coarse))
+        assert got == want, am_coarse
+        assert oracle_sequence(pred, gold, am_coarse)[1][-1].report.f1 == 100.0
 
 
 def test_sequence_drops_a_predicted_only_label_once_it_vanishes():
