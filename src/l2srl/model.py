@@ -153,13 +153,22 @@ def spans_from_tags(tags) -> Frame:
     ``S-x`` singletons or ``B-x I-x* E-x`` runs with a uniform label;
     anything else raises IllFormedTagSequence.
     """
-    return _decode_tags(tags, {})
+    return _decode_tags(tags, _CHECKED_TAGS)
+
+
+# Every call of spans_from_tags shares this table.  An entry depends on its
+# tag alone, so sharing it across callers and threads changes no result;
+# _decode_tags empties it when it is full, so distinct valid tags (AM
+# subtypes) cannot grow it without bound.
+_CHECKED_TAGS: dict[str, tuple] = {}
+_CHECKED_TAGS_LIMIT = 1024
 
 
 def _decode_tags(tags, parts: dict) -> Frame:
     """spans_from_tags, given ``parts``: a table of the tags already known
     to be valid, each mapped to its ``split_tag``.  Tags missing from the
-    table are checked and added to it."""
+    table are checked and added to it, after emptying a table that holds
+    ``_CHECKED_TAGS_LIMIT`` tags."""
     spans: list[Span] = []
     predicate = None
     run_label: str | None = None
@@ -178,6 +187,8 @@ def _decode_tags(tags, parts: dict) -> Frame:
         if split is None:
             if not is_position_tag(tag):
                 fail(pos, f"unknown tag {tag!r}")
+            if len(parts) >= _CHECKED_TAGS_LIMIT:
+                parts.clear()
             split = parts[tag] = split_tag(tag)
         position, label = split
         if run_label is None:

@@ -14,7 +14,7 @@ import random
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import add, is_, itemgetter
 from typing import NamedTuple
 
 from l2srl.corpus import Corpus, text_lines, write_atomic
@@ -62,6 +62,8 @@ class TaggerModel:
     weight have a row.  ``emissions`` is the same weights keyed by
     ``(feature, label)``: one view, reused while ``rows`` and ``labels`` are
     the same objects (so replace ``labels`` rather than edit it in place).
+    Decoding reuses one transition lattice until ``labels`` or a
+    transition weight changes (see ``_scorer``).
     """
 
     labels: list[str]
@@ -368,13 +370,9 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
 
 
 class _Scorer:
-    """Decoding state of one model, shared by the frames of one ``tag`` or
-    ``tag_corpus`` call.
-
-    Holds the compiled grammar and the transition lattice.  It reads the
-    model's transitions once, so it must not outlive a call: callers may
-    change the model's weights between calls.
-    """
+    """Decoding state of one model: the compiled grammar and the transition
+    lattice.  ``_scorer`` keeps one per model and rebuilds it when the
+    model's labels or transitions change."""
 
     def __init__(self, model: TaggerModel):
         labels = model.labels
@@ -387,6 +385,31 @@ class _Scorer:
         self.lattice = _lattice(self.grammar, list(zip(*matrix)))
 
 
+def _scorer(model: TaggerModel) -> _Scorer:
+    """The model's ``_Scorer``, reused while its labels are equal and its
+    transitions hold the same keys and the same weight objects, in order.
+
+    Weights are compared by identity, not ``==``: ``10**16 == 1e16`` but
+    sums with them round differently, ``0 == -0.0`` but their signs differ,
+    and ``NaN != NaN`` would never reuse.  The copy keeps the weights alive,
+    so no identity is reused.  Like the ``emissions`` view, the cache sits
+    in the model's ``__dict__`` and holds no reference to the model.
+    """
+    labels, transitions = tuple(model.labels), model.transitions
+    cached = model.__dict__.get("_scorer_cache")
+    if (
+        cached is not None
+        and cached[0] == labels
+        and len(cached[1]) == len(transitions)
+        and all(map(is_, cached[1], transitions))
+        and all(map(is_, cached[1].values(), transitions.values()))
+    ):
+        return cached[2]
+    scorer = _Scorer(model)
+    model._scorer_cache = (labels, dict(transitions), scorer)
+    return scorer
+
+
 def viterbi_decode(
     model: TaggerModel,
     sentence: AnnotatedSentence,
@@ -395,13 +418,13 @@ def viterbi_decode(
 ) -> list[str]:
     """Decode the best tag sequence for one predicate of a sentence.
 
-    ``scorer`` is the state ``tag`` and ``tag_corpus`` share across the
-    frames they decode; without it a fresh one is built from ``model``.
+    ``scorer`` is the model's ``_scorer``, which ``tag`` looks up once for
+    all the frames it decodes; without it this call looks it up.
     """
     n = len(sentence)
     if not 1 <= predicate_index <= n:
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
-    scorer = scorer if scorer is not None else _Scorer(model)
+    scorer = scorer if scorer is not None else _scorer(model)
     feats = [extract_features(sentence, predicate_index, i) for i in range(1, n + 1)]
     path = _viterbi(
         scorer.grammar, scorer.lattice, feats, model.rows, predicate_index - 1
@@ -506,16 +529,6 @@ def tag(
     model: TaggerModel, sentence: AnnotatedSentence, predicate_indices
 ) -> AnnotatedSentence:
     """Attach one decoded frame per given predicate position (gold predicates)."""
-    return _tag(model, sentence, predicate_indices, None)
-
-
-def _tag(
-    model: TaggerModel,
-    sentence: AnnotatedSentence,
-    predicate_indices,
-    scorer: "_Scorer | None",
-) -> AnnotatedSentence:
-    """``tag`` with a scorer shared by the caller; None builds one when needed."""
     n = len(sentence)
     indices = list(predicate_indices)
     if len(set(indices)) != len(indices):
@@ -523,8 +536,7 @@ def _tag(
     for index in indices:
         if not 1 <= index <= n:
             raise InvalidPredicateIndex(f"predicate index {index} outside 1..{n}")
-    if indices and scorer is None:
-        scorer = _Scorer(model)
+    scorer = _scorer(model) if indices else None
     frames = []
     for index in sorted(indices):
         tags = viterbi_decode(model, sentence, index, scorer)
@@ -534,13 +546,8 @@ def _tag(
 
 def tag_corpus(model: TaggerModel, corpus: Corpus) -> Corpus:
     """Re-annotate every sentence at its own predicate positions."""
-    sentences = corpus.sentences
-    scorer = _Scorer(model) if any(s.frames for s in sentences) else None
     return Corpus(
-        tuple(
-            _tag(model, s, [f.predicate_index for f in s.frames], scorer)
-            for s in sentences
-        )
+        tuple(tag(model, s, [f.predicate_index for f in s.frames]) for s in corpus.sentences)
     )
 
 

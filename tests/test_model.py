@@ -6,7 +6,9 @@ import re
 import pytest
 
 from helpers import frame
-from l2srl.errors import IllFormedTagSequence, InvalidFrame
+from l2srl import model
+from l2srl.corpus import parse_corpus
+from l2srl.errors import IllFormedTagSequence, InvalidFrame, ParseError
 from l2srl.model import (
     Frame,
     Span,
@@ -60,6 +62,71 @@ def test_decode_strict_rejects(tags, message):
     with pytest.raises(IllFormedTagSequence) as err:
         spans_from_tags(tags)
     assert str(err.value) == message
+
+
+def _valid_sequences(labels):
+    """One valid sequence per label: ``S-x rel B-x I-x E-x``."""
+    return [[f"S-{lab}", "rel", f"B-{lab}", f"I-{lab}", f"E-{lab}"] for lab in labels]
+
+
+def test_shared_tag_table_keeps_every_rejection_message(monkeypatch):
+    """Tags that valid sequences put in the shared table (I-A0, B-A1, ...)
+    are still rejected where the grammar forbids them, with the same
+    message; unknown tags are never added."""
+    monkeypatch.setattr(model, "_CHECKED_TAGS", {})
+    for tags, _ in STRICT_REJECTS:
+        with pytest.raises(IllFormedTagSequence):
+            spans_from_tags(tags)
+    for tags in _valid_sequences(("A0", "A1", "AM-TMP")):
+        spans_from_tags(tags)
+    assert {"I-A0", "E-A0", "B-A0", "S-A1", "I-A1"} <= model._CHECKED_TAGS.keys()
+    for tags, message in STRICT_REJECTS:
+        with pytest.raises(IllFormedTagSequence) as err:
+            spans_from_tags(tags)
+        assert str(err.value) == message
+    assert "X-A0" not in model._CHECKED_TAGS
+
+
+def test_shared_tag_table_leaves_parse_errors_unchanged(monkeypatch):
+    head = "# id = s1\n# lang = ENG\n# side = L2\n# pair = p1\n"
+    bad = {
+        "1\tthe\t_\tX-A0\n2\tcat\tY\trel\n\n": (
+            "line 5: undecodable tag 'X-A0' in frame column 1", 5),
+        "1\tthe\t_\tI-A0\n2\tcat\tY\trel\n\n": (
+            "line 5: undecodable tag column 1: position 1: I tag outside a run", 5),
+        "1\tthe\t_\tB-A1\n2\tcat\tY\trel\n\n": (
+            "line 5: undecodable tag column 1: "
+            "position 2: run B-A1 not closed before 'rel'", 5),
+    }
+
+    def errors():
+        found = []
+        for body in bad:
+            with pytest.raises(ParseError) as err:
+                parse_corpus((head + body).encode())
+            found.append((str(err.value), err.value.line))
+        return found
+
+    monkeypatch.setattr(model, "_CHECKED_TAGS", {})
+    before = errors()
+    for tags in _valid_sequences(("A0", "A1")):
+        spans_from_tags(tags)
+    assert errors() == before == list(bad.values())
+
+
+def test_shared_tag_table_never_grows_past_its_limit(monkeypatch):
+    """Distinct valid AM subtypes empty the table rather than grow it, in
+    one long sequence as across many short ones, and decodes stay exact."""
+    monkeypatch.setattr(model, "_CHECKED_TAGS", {})
+    subtypes = [f"AM-X{k}" for k in range(3 * model._CHECKED_TAGS_LIMIT)]
+    long = ["rel"] + [f"S-{lab}" for lab in subtypes]
+    assert spans_from_tags(long) == frame(
+        1, *[(k, k, lab) for k, lab in enumerate(subtypes, start=2)]
+    )
+    assert 0 < len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
+    for tags in _valid_sequences(subtypes[:800]):
+        spans_from_tags(tags)
+        assert len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
 
 
 def test_encode_examples():

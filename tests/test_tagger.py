@@ -16,6 +16,7 @@ from helpers import (
     sent,
     toy_separable_corpus,
 )
+from l2srl import tagger
 from l2srl.corpus import render_corpus
 from l2srl.errors import (
     EmptyCorpus,
@@ -24,7 +25,7 @@ from l2srl.errors import (
     ParseError,
     VersionMismatch,
 )
-from l2srl.model import spans_from_tags
+from l2srl.model import spans_from_tags, tags_from_spans
 from l2srl.scoring import score
 from l2srl.tagger import (
     TaggerModel,
@@ -347,13 +348,26 @@ def test_tag_matches_reference_decoder_on_multi_frame_sentences():
             return rng.choice(pools[kind - 2])
         density = rng.choice((0.0, 0.1, 0.5))
         _random_weights(rng, model, [t for fs in feats.values() for t in fs], density, weight)
-        expected = tuple(
-            spans_from_tags(
-                reference_viterbi(labels, model.emissions, model.transitions, feats[p], p - 1)
+
+        def expected():
+            return tuple(
+                spans_from_tags(
+                    reference_viterbi(labels, model.emissions, model.transitions, feats[p], p - 1)
+                )
+                for p in sorted(predicates)
             )
-            for p in sorted(predicates)
-        )
-        assert tag(model, s, predicates).frames == expected, trial
+
+        assert tag(model, s, predicates).frames == expected(), trial
+        # The same model through a mix of transition edits and tag calls:
+        # each call reuses or rebuilds the cached lattice, never a stale one.
+        for step in range(4):
+            for _ in range(rng.choice((0, 0, 1, 3))):
+                key = (rng.choice(labels), rng.choice(labels))
+                if key in model.transitions and rng.random() < 0.25:
+                    del model.transitions[key]
+                else:
+                    model.transitions[key] = rng.choice(rng.choice(pools))
+            assert tag(model, s, predicates).frames == expected(), (trial, step)
 
 
 class _CountingDict(dict):
@@ -456,6 +470,96 @@ def test_tag_sees_weights_changed_between_calls():
     assert tag(model, s, [2]).frames == (frame(2, (1, 1, "A0")),)
     model.transitions[("rel", "S-A0")] = 2.0
     assert tag(model, s, [2]).frames == (frame(2, (1, 1, "A0"), (3, 3, "A0")),)
+
+
+def _count_scorer_builds(monkeypatch):
+    """Make ``tagger._Scorer`` log each model it is built for; return the log."""
+    builds = []
+
+    class CountingScorer(tagger._Scorer):
+        def __init__(self, model):
+            builds.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(tagger, "_Scorer", CountingScorer)
+    return builds
+
+
+def test_tag_and_tag_corpus_build_one_scorer_per_unchanged_model(monkeypatch):
+    builds = _count_scorer_builds(monkeypatch)
+    gold = toy_separable_corpus()
+    model = train(gold, TrainConfig(epochs=3, seed=1))
+    tagged = tag_corpus(model, gold)
+    assert [id(m) for m in builds] == [id(model)]
+    for s, expected in zip(gold.sentences, tagged.sentences):
+        assert tag(model, s, [f.predicate_index for f in s.frames]) == expected
+        assert viterbi_decode(model, s, 2) == tags_from_spans(expected.frames[0], len(s))
+    assert tag_corpus(model, gold) == tagged
+    assert tag(model, gold.sentences[0], []).frames == ()
+    assert [id(m) for m in builds] == [id(model)]
+    other = parse_model(render_model(model))  # an equal model has its own
+    assert tag_corpus(other, gold) == tagged and tag_corpus(model, gold) == tagged
+    assert [id(m) for m in builds] == [id(model), id(other)]
+
+
+def test_scorer_is_rebuilt_after_each_transition_or_label_edit(monkeypatch):
+    """Every edit below builds the scorer once more, and the decode is the
+    reference one; the next call reuses it.  Weights are told apart by
+    identity: ``10**16`` and ``1e16``, ``0.0`` and ``-0.0``, two NaNs."""
+    builds = _count_scorer_builds(monkeypatch)
+    model = TaggerModel(build_label_set(("A0", "A1")))
+    s = sent("s1", ["a", "b", "c", "d"])
+    predicates = [1, 4]
+    model.emissions[("w0=b", "O")] = 1
+    model.emissions[("w0=c", "B-A1")] = 0.5
+    model.transitions[("rel", "S-A0")] = 10**16 + 1
+    model.transitions[("O", "S-A1")] = 0.25
+    model.transitions[("S-A0", "S-A1")] = -0.5
+    frames = []
+
+    def check(name):
+        before = len(builds)
+        got = tag(model, s, predicates).frames
+        assert len(builds) == before + 1, name
+        assert tag(model, s, predicates).frames == got and len(builds) == before + 1, name
+        # A fresh model object, so the reference reads a fresh emissions view.
+        fresh = TaggerModel(list(model.labels), model.rows, model.transitions)
+        feats = {p: [extract_features(s, p, i) for i in range(1, 5)] for p in predicates}
+        assert got == tuple(
+            spans_from_tags(reference_viterbi(
+                fresh.labels, fresh.emissions, fresh.transitions, feats[p], p - 1))
+            for p in predicates
+        ), name
+        frames.append(got)
+
+    check("first call")
+    model.transitions[("O", "S-A1")] = 3.0
+    check("weight edited in place")
+    model.transitions[("S-A1", "B-A0")] = 2.0
+    check("key added")
+    del model.transitions[("S-A0", "S-A1")]
+    check("key removed")
+    model.transitions[("S-A1", "S-A0")] = model.transitions.pop(("S-A1", "B-A0"))
+    check("key renamed, same weight")
+    model.transitions = {key: -w for key, w in model.transitions.items()}
+    check("transitions replaced")
+    model.transitions[("rel", "S-A0")] = 10**16 + 1
+    key = ("rel", "O")
+    for old, new in ((1, 1.0), (10**16, 1e16), (0.0, -0.0), (float("nan"), float("nan"))):
+        model.transitions[key] = old
+        check(f"{old!r} set")
+        model.transitions[key] = new
+        check(f"{old!r} -> {new!r}")
+    # rel -> O at 10**16 plus O's emission 1 ties rel -> S-A0 at 10**16 + 1,
+    # and O wins the tie; 1e16 + 1 rounds to 1e16, so S-A0 wins
+    assert frames[-5] != frames[-6]
+    model.transitions[key] = 10**16
+    check("10**16 again")
+    model.labels = ["rel", "O"] + model.labels[2:]  # the O weights now weigh rel
+    check("labels replaced")
+    model.labels[0], model.labels[1] = model.labels[1], model.labels[0]
+    check("labels edited in place")
+    assert frames[-2] != frames[-1] == frames[-3]
 
 
 def test_decoder_raises_when_no_valid_path():
