@@ -63,14 +63,19 @@ class SelectionConfig:
             raise ValueError(f"threshold p must be in [0, 1], got {self.p}")
 
 
+def _role_triples(sentence: AnnotatedSentence) -> set[tuple[int, int, str]]:
+    """extract_tuples' tuples as plain (predicate, argument, role) triples."""
+    return {
+        (predicate, argument, label)
+        for predicate, spans in sentence.frames
+        for start, end, label in spans
+        for argument in range(start, end + 1)
+    }
+
+
 def extract_tuples(sentence: AnnotatedSentence) -> set[RoleTuple]:
     """One tuple per (frame, span, covered token), carrying the span label."""
-    tuples = set()
-    for frame in sentence.frames:
-        for span in frame.spans:
-            for argument in range(span.start, span.end + 1):
-                tuples.add(RoleTuple(frame.predicate_index, argument, span.label))
-    return tuples
+    return set(map(RoleTuple._make, _role_triples(sentence)))
 
 
 def match_tuples(
@@ -82,23 +87,31 @@ def match_tuples(
     same role (coarse-AM by default) with (p-1, p'-1) and (a-1, a'-1) both in
     the 0-based link set; L1 matching is symmetric.  Counting per side keeps
     both recalls well-defined under many-to-many alignments.
+
+    A hash join: the L1 tuples are indexed by (predicate, argument, role
+    key), each L2 position is mapped to its linked L1 positions, and each
+    L2 tuple probes the index only at its linked (predicate, argument)
+    position pairs.  The role key is computed once per distinct role.
+    Fields are read by index, so RoleTuples and plain triples both work.
     """
-    key = coarse_label if am_coarse else (lambda r: r)
-    l2_to_l1: dict[int, set[int]] = {}
+    roles = {t[2] for t in l1_tuples}
+    roles.update(t[2] for t in l2_tuples)
+    key = {r: coarse_label(r) if am_coarse else r for r in roles}
+    linked: dict[int, list[int]] = {}  # 1-based L2 position -> L1 positions
     for i, j in links:
-        l2_to_l1.setdefault(i, set()).add(j)
-    by_role_l1: dict[str, list[RoleTuple]] = {}
-    for t in l1_tuples:
-        by_role_l1.setdefault(key(t.role), []).append(t)
-    matched_l2 = set()
-    matched_l1 = set()
+        linked.setdefault(i + 1, []).append(j + 1)
+    index: dict[tuple, list] = {}
+    for u in l1_tuples:
+        index.setdefault((u[0], u[1], key[u[2]]), []).append(u)
+    matched_l2, matched_l1 = set(), set()
     for t in l2_tuples:
-        reachable_p = l2_to_l1.get(t.predicate - 1, ())
-        reachable_a = l2_to_l1.get(t.argument - 1, ())
-        for u in by_role_l1.get(key(t.role), ()):
-            if u.predicate - 1 in reachable_p and u.argument - 1 in reachable_a:
-                matched_l2.add(t)
-                matched_l1.add(u)
+        role = key[t[2]]
+        for p in linked.get(t[0], ()):
+            for a in linked.get(t[1], ()):
+                hit = index.get((p, a, role))
+                if hit:
+                    matched_l2.add(t)
+                    matched_l1.update(hit)
     return matched_l2, matched_l1
 
 
@@ -115,8 +128,8 @@ def shared_tuples(
 
 def recall_pair(pair: SentencePair, am_coarse: bool = True) -> PairRecall:
     """Tuple recalls of one pair; pairs with an empty side are ineligible."""
-    l2_tuples = extract_tuples(pair.l2)
-    l1_tuples = extract_tuples(pair.l1)
+    l2_tuples = _role_triples(pair.l2)
+    l1_tuples = _role_triples(pair.l1)
     matched_l2, matched_l1 = shared_tuples(pair, l2_tuples, l1_tuples, am_coarse)
     return PairRecall(
         total_l2=len(l2_tuples),

@@ -92,21 +92,31 @@ def spans_overlap(a: Span, b: Span) -> bool:
     return a.start <= b.end and b.start <= a.end
 
 
-@dataclass(frozen=True)
-class Frame:
+class _FrameFields(NamedTuple):
+    predicate_index: int
+    spans: tuple[Span, ...]
+
+
+class Frame(_FrameFields):
     """All argument spans of one predicate occurrence.
 
     The predicate token itself is never inside a span.  Spans behave as a
-    set: construction sorts and deduplicates them.  Construction is
-    permissive; ``corpus.parse_corpus`` is where frames are checked.
+    set: construction sorts and deduplicates them, and so do ``_make`` and
+    ``_replace``.  Construction is permissive; ``corpus.parse_corpus`` is
+    where frames are checked.  A Frame is its own ``(predicate_index,
+    spans)`` pair: it hashes, compares and sorts as that plain tuple.
     """
 
-    predicate_index: int
-    spans: tuple[Span, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        normalized = tuple(sorted(set(self.spans)))
-        object.__setattr__(self, "spans", normalized)
+    def __new__(cls, predicate_index: int, spans=()):
+        return tuple.__new__(cls, (predicate_index, tuple(sorted(set(spans)))))
+
+    @classmethod
+    def _make(cls, iterable):
+        # The inherited _make, which _replace and copy.replace call, would
+        # skip the normalising __new__.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,8 @@ def _decode_tags(tags, parts: dict) -> Frame:
         fail(len(tags), f"run B-{run_label} never closed")
     if predicate is None:
         raise IllFormedTagSequence("no 'rel' tag in sequence")
-    return Frame(predicate, tuple(spans))
+    # Spans come left to right without overlap: already sorted and distinct.
+    return tuple.__new__(Frame, (predicate, tuple(spans)))
 
 
 def tags_from_spans(frame: Frame, length: int) -> list[str]:

@@ -27,7 +27,7 @@ from l2srl.agreement import (
     shared_tuples,
 )
 from l2srl.corpus import SentencePair
-from l2srl.model import Alignment
+from l2srl.model import Alignment, Frame, Span
 
 
 def test_extract_one_tuple_per_covered_word():
@@ -142,6 +142,49 @@ def test_match_tuples_equals_brute_force():
             got = match_tuples(links, l2, l1, coarse)
             want = brute_force_shared(links, l2, l1, coarse)
             assert got == want
+
+
+def _code_built_sentence(rng, sid, side):
+    """Frames built in code: predicates repeat, spans overlap or repeat
+    across frames, and adjunct subtypes occur."""
+    roles = ("A0", "A1", "AM", "AM-TMP", "AM-LOC")
+    n = rng.randint(1, 8)
+    frames = []
+    for _ in range(rng.randint(0, 4)):
+        starts = [rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+        spans = [Span(s, rng.randint(s, min(n, s + 2)), rng.choice(roles)) for s in starts]
+        frames.append(Frame(rng.randint(1, n), tuple(spans)))
+    if frames and rng.random() < 0.5:
+        frames.append(rng.choice(frames))
+    return sent(sid, ["w"] * n, frames, side=side, pair=sid[:-3])
+
+
+def test_recall_pair_equals_brute_force_over_extract_tuples():
+    rng = random.Random(16)
+    for k in range(400):
+        l2 = _code_built_sentence(rng, f"r{k}.l2", "L2")
+        l1 = _code_built_sentence(rng, f"r{k}.l1", "L1")
+        links = set()
+        if k % 4:  # every fourth pair has no links
+            links = {
+                (rng.randrange(len(l2)), rng.randrange(len(l1)))
+                for _ in range(rng.randint(1, 2 * max(len(l2), len(l1))))
+            }
+        l2_tuples, l1_tuples = extract_tuples(l2), extract_tuples(l1)
+        for s, tuples in ((l2, l2_tuples), (l1, l1_tuples)):
+            assert all(type(t) is RoleTuple for t in tuples)
+            assert tuples == {
+                (f.predicate_index, argument, span.label)
+                for f in s.frames
+                for span in f.spans
+                for argument in range(span.start, span.end + 1)
+            }
+        pair = make_pair(l2, l1, links)
+        for coarse in (True, False):
+            shared_l2, shared_l1 = brute_force_shared(links, l2_tuples, l1_tuples, coarse)
+            assert recall_pair(pair, am_coarse=coarse) == PairRecall(
+                len(l2_tuples), len(l1_tuples), len(shared_l2), len(shared_l1)
+            )
 
 
 def test_matching_monotone_in_links():

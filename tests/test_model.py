@@ -1,7 +1,11 @@
 """Tag/span conversion and its grammar."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
+import sys
 
 import pytest
 
@@ -173,6 +177,36 @@ def test_frame_dedups_and_sorts_spans():
     a, b, c = Span(1, 1, "A1"), Span(1, 1, "A0"), Span(4, 5, "AM")
     assert Frame(2, (c, a, b, a, c)).spans == (b, a, c)
     assert Frame(2, (c, a, b)) == Frame(2, (b, c, a))
+
+
+def test_frame_value_semantics():
+    a, b, c = Span(1, 1, "A1"), Span(1, 1, "A0"), Span(4, 5, "AM")
+    f = Frame(2, (c, a, b, a, c))
+    assert f == (2, (b, a, c)) and hash(f) == hash((2, (b, a, c)))
+    assert Frame(2, ()) == Frame(2) == (2, ())
+    assert repr(f) == str(f) == (
+        "Frame(predicate_index=2, spans=(Span(start=1, end=1, label='A0'), "
+        "Span(start=1, end=1, label='A1'), Span(start=4, end=5, label='AM')))"
+    )
+    assert repr(Frame(3)) == "Frame(predicate_index=3, spans=())"
+    with pytest.raises(AttributeError):
+        f.spans = ()
+    assert not hasattr(f, "__dict__")
+    # Every way of building a Frame from another sorts and deduplicates.
+    copies = [
+        f._replace(spans=(c, a, b, c)),
+        Frame._make((2, [c, b, a, b])),
+        pickle.loads(pickle.dumps(f)),
+        copy.deepcopy(f),
+        copy.copy(f),
+    ]
+    if sys.version_info >= (3, 13):
+        copies.append(copy.replace(f, spans=(c, b, a, b)))
+    for other in copies:
+        assert type(other) is Frame and other.spans == (b, a, c) and other == f
+    assert f._replace(predicate_index=5) == (5, (b, a, c))
+    with pytest.raises(TypeError):
+        dataclasses.replace(f, spans=())
 
 
 def _random_valid_frame(rng, n):
