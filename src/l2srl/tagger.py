@@ -11,9 +11,12 @@ seed; per-epoch shuffling uses a private RNG.
 
 import math
 import random
+import sys
+from collections import defaultdict
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain, repeat
 from operator import add, is_, itemgetter
 from typing import NamedTuple
 
@@ -282,15 +285,13 @@ def _lattice(grammar: Grammar, columns) -> list:
 _first = itemgetter(0)
 
 
-def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list[int]:
+def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     """Best grammar-valid label-index sequence; ties break toward earlier labels.
 
-    ``feats[t]`` lists the features of token ``t`` and ``rows.get(f)`` gives
-    feature ``f``'s weight per label, or a false value when it has none; a
-    token scores each label by adding its features' rows in feature order.
-    ``lattice`` is the transition lattice ``_lattice`` built for ``grammar``.
-    The predicate token takes ``rel`` and every other token anything but
-    ``rel``.  Raises NoValidPath when no valid sequence has a finite score.
+    ``emit[t][j]`` scores label ``j`` at token ``t``, and ``lattice`` is the
+    transition lattice ``_lattice`` built for ``grammar``.  The predicate
+    token takes ``rel`` and every other token anything but ``rel``.  Raises
+    NoValidPath when no valid sequence has a finite score.
 
     A label whose predecessors are the closed labels scans them best score
     first and stops at the first ``k`` with ``prev[k] + top < best``: float
@@ -302,20 +303,6 @@ def _viterbi(grammar: Grammar, lattice, feats, rows, predicate_pos: int) -> list
     neg = float("-inf")
     rel = grammar.rel
     size = len(grammar.ends)
-    zero = [0] * size
-    emit = []
-    weights = rows.get
-    for token_feats in feats:
-        # Adding the rows per label in feature order keeps float sums those
-        # of left-to-right addition from an int 0; skipping a missing row, or
-        # that leading 0, can only flip the sign of a zero score, which no
-        # comparison or later non-zero sum sees.  A lone row is not copied,
-        # so no weight row may change while this call runs.
-        row = zero
-        for f in token_feats:
-            if hit := weights(f):
-                row = hit if row is zero else list(map(add, row, hit))
-        emit.append(row)
     closed = grammar.closed
     only_rel = [lattice[rel]]
     opening = [lattice[j] for j in grammar.opening]
@@ -426,9 +413,21 @@ def viterbi_decode(
         raise InvalidPredicateIndex(f"predicate index {predicate_index} outside 1..{n}")
     scorer = scorer if scorer is not None else _scorer(model)
     feats = [extract_features(sentence, predicate_index, i) for i in range(1, n + 1)]
-    path = _viterbi(
-        scorer.grammar, scorer.lattice, feats, model.rows, predicate_index - 1
-    )
+    zero = [0] * len(model.labels)
+    emit = []
+    weights = model.rows.get
+    for token_feats in feats:
+        # Adding the rows per label in feature order keeps float sums those
+        # of left-to-right addition from an int 0; skipping a missing row, or
+        # that leading 0, can only flip the sign of a zero score, which no
+        # comparison or later non-zero sum sees.  A lone row is not copied,
+        # so no weight row may change while this call runs.
+        row = zero
+        for f in token_feats:
+            if hit := weights(f):
+                row = hit if row is zero else list(map(add, row, hit))
+        emit.append(row)
+    path = _viterbi(scorer.grammar, scorer.lattice, emit, predicate_index - 1)
     return [model.labels[j] for j in path]
 
 
@@ -446,16 +445,36 @@ def _training_sequences(corpus: Corpus, index: dict):
     return sequences
 
 
+def _lanes(size: int):
+    """``(lane, unpack)`` for ``size`` signed 64-bit lanes in one int: ``lane[j]``
+    is label ``j``'s unit and ``unpack`` reads a sum of lane multiples back as
+    a list.  The bias makes every lane non-negative without carries and the XOR
+    restores two's complement; ``cast`` reads host byte order, so a big-endian
+    host keeps label 0 in the top lane."""
+    lane = [1 << 64 * j for j in range(size)][:: 1 if sys.byteorder == "little" else -1]
+    bias = sum(lane) << 63
+
+    def unpack(x: int) -> list:
+        data = ((x + bias) ^ bias).to_bytes(8 * size, sys.byteorder)
+        return memoryview(data).cast("q").tolist()
+
+    return lane, unpack
+
+
 def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     """Averaged structured perceptron over one sequence per (sentence, frame).
 
     Weights stay integral during training (updates are feature-count
     differences), so averaging is an exact rational and runs with the same
-    seed produce bit-identical models.  They are kept as feature -> per-label
-    rows and a label x label transition matrix.  Beside each weight ``w``
-    runs ``lagged``, the sum of ``d * (step - 1)`` over its updates ``d``;
-    the mean of ``w`` over all ``steps`` steps is then
-    ``(steps * w - lagged) / steps``.
+    seed produce bit-identical models.  Each feature's weights are one int of
+    per-label ``_lanes``, so an update adds once per feature and an emission
+    row is one sum; transitions are a label x label matrix.  Beside each
+    weight ``w`` runs ``lagged``, the sum of ``d * (step - 1)`` over its
+    updates ``d``; the mean over all ``steps`` is ``(steps * w - lagged) /
+    steps``.  A step moves a lane by at most the longest sentence's ``n``, so
+    over ``S`` steps a sum of ``k`` rows stays within ``k * S * n`` and
+    ``steps * w - lagged`` within ``S * S * n``; ValueError is raised before
+    the first step unless ``max(k, 2 * S) * S * n`` fits in a lane.
     """
     config = config or TrainConfig()
     roles = {
@@ -465,10 +484,16 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     sequences = _training_sequences(corpus, {lab: j for j, lab in enumerate(labels)})
     if not sequences:
         raise EmptyCorpus("no (sentence, frame) training sequences in corpus")
+    total = config.epochs * len(sequences)
+    n = max(len(feats) for feats, _, _ in sequences)
+    k = max(len(token) for feats, _, _ in sequences for token in feats)
+    if max(k, 2 * total) * total * n >= 2**63:
+        raise ValueError(f"{total} steps on {n}-token sentences overflow a weight lane")
     grammar = compile_grammar(tuple(labels))
     size = len(labels)
-    emissions: dict = {}  # feature -> weight per label, from its first update
-    emissions_lagged: dict = {}
+    lane, unpack = _lanes(size)
+    emissions = defaultdict(int)  # feature -> packed weights, from its first update
+    emissions_lagged = defaultdict(int)
     transitions = [[0] * size for _ in labels]  # [previous label][label]
     transitions_lagged = [[0] * size for _ in labels]
     lattice = _lattice(grammar, list(zip(*transitions)))
@@ -482,20 +507,17 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
             lag = step
             step += 1
             feats, gold, predicate_pos = sequences[index]
-            predicted = _viterbi(grammar, lattice, feats, emissions, predicate_pos)
+            emit = [unpack(sum(map(emissions.get, token, repeat(0)))) for token in feats]
+            predicted = _viterbi(grammar, lattice, emit, predicate_pos)
             if predicted == gold:
                 continue
             for t, (g, p) in enumerate(zip(gold, predicted)):
                 if g != p:
+                    d = lane[g] - lane[p]
+                    lagged_d = lag * d
                     for f in feats[t]:
-                        if f not in emissions:
-                            emissions[f] = [0] * size
-                            emissions_lagged[f] = [0] * size
-                        weights, lagged = emissions[f], emissions_lagged[f]
-                        weights[g] += 1
-                        weights[p] -= 1
-                        lagged[g] += lag
-                        lagged[p] -= lag
+                        emissions[f] += d
+                        emissions_lagged[f] += lagged_d
                 if t and (gold[t - 1], g) != (predicted[t - 1], p):
                     transitions[gold[t - 1]][g] += 1
                     transitions[predicted[t - 1]][p] -= 1
@@ -506,23 +528,14 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
                 lattice[j] = _entry(grammar, j, [row[j] for row in transitions])
             changed.clear()
     model = TaggerModel(labels=labels)
-    for f, weights in emissions.items():
-        if any(row := _mean(weights, emissions_lagged[f], step)):
-            model.rows[f] = row
+    for f, w in emissions.items():
+        if num := step * w - emissions_lagged[f]:
+            model.rows[f] = [x / step if x else 0 for x in unpack(num)]
     for prev, weights, lagged in zip(labels, transitions, transitions_lagged):
-        for lab, w in zip(labels, _mean(weights, lagged, step)):
-            if w:
-                model.transitions[(prev, lab)] = w
+        for lab, w, lag in zip(labels, weights, lagged):
+            if num := step * w - lag:
+                model.transitions[(prev, lab)] = num / step
     return model
-
-
-def _mean(weights, lagged, steps: int) -> list:
-    """Each weight's mean over ``steps`` steps (see ``train``); a zero mean is
-    the int 0."""
-    return [
-        (steps * w - lag) / steps if steps * w != lag else 0
-        for w, lag in zip(weights, lagged)
-    ]
 
 
 def tag(
@@ -556,14 +569,14 @@ def render_model(model: TaggerModel) -> bytes:
     labels = model.labels
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", "\t".join(labels)]
     by_name = sorted(range(len(labels)), key=labels.__getitem__)
+    weights = {*chain.from_iterable(model.rows.values()), *model.transitions.values()}
+    texts = {w: repr(float(w)) for w in weights}  # equal weights render equally
     for f in sorted(model.rows):
-        row = model.rows[f]
-        lines.extend(
-            f"E\t{f}\t{labels[j]}\t{float(row[j])!r}" for j in by_name if row[j]
-        )
+        row, prefix = model.rows[f], f"E\t{f}\t"
+        lines.extend(f"{prefix}{labels[j]}\t{texts[row[j]]}" for j in by_name if row[j])
     for a, b in sorted(model.transitions):
         if w := model.transitions[(a, b)]:
-            lines.append(f"T\t{a}\t{b}\t{float(w)!r}")
+            lines.append(f"T\t{a}\t{b}\t{texts[w]}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

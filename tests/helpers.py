@@ -17,6 +17,7 @@ from l2srl.model import (
     AnnotatedSentence,
     Frame,
     Span,
+    spans_from_tags,
     tags_from_spans,
 )
 from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, _with_empty_counterparts, apply_oracle
@@ -281,6 +282,37 @@ def reference_train(corpus, config):
     return model
 
 
+def reference_tag_corpus(model, corpus):
+    """Re-annotate every sentence with ``reference_viterbi``: one decode per
+    predicate position, frames in predicate order."""
+    sentences = []
+    for s in corpus.sentences:
+        n = len(s.forms)
+        frames = []
+        for p in sorted(f.predicate_index for f in s.frames):
+            feats = [extract_features(s, p, i) for i in range(1, n + 1)]
+            tags = reference_viterbi(model.labels, model.emissions, model.transitions, feats, p - 1)
+            frames.append(spans_from_tags(tags))
+        sentences.append(replace(s, frames=tuple(frames)))
+    return Corpus(tuple(sentences))
+
+
+def reference_render_model(model):
+    """The canonical model bytes, written one weight cell at a time, each
+    weight as ``repr(float(w))``."""
+    lines = ["SRLMODEL v1", "\t".join(model.labels)]
+    for f in sorted(model.rows):
+        for label in sorted(model.labels):
+            w = model.rows[f][model.labels.index(label)]
+            if w:
+                lines.append(f"E\t{f}\t{label}\t{repr(float(w))}")
+    for a, b in sorted(model.transitions):
+        w = model.transitions[(a, b)]
+        if w:
+            lines.append(f"T\t{a}\t{b}\t{repr(float(w))}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def reference_oracle_sequence(pred, gold, am_coarse=False):
     """Full-rescore oracle: apply each transform to every frame, then score
     the whole corpus again after every stage."""
@@ -481,3 +513,81 @@ def toy_separable_corpus():
         sentences.append(sent(f"toy{k}", forms, [frame(2, (1, 1, "A0"), (3, 4, "A1"))], side="L1"))
         k += 1
     return Corpus(tuple(sentences))
+
+
+REPLAY_NOUNS = ("mako", "tiv", "sorn", "pell", "drue", "kesh", "lom", "wiba")
+REPLAY_VERBS = ("grask", "plon", "vitu", "snar")
+REPLAY_ADVERBS = ("oft", "yonder", "quel")
+
+
+def replay_sentence(rng, sid, side, pair=None):
+    """Noun(s) verb noun [adverb], sometimes followed by a second verb and
+    noun.  The agent (A0) usually comes before its verb, but a quarter of the
+    frames swap A0 and A1, so no model tags every sentence right."""
+    forms, frames = [], []
+    for _ in range(rng.choice((1, 1, 2))):
+        agent = [rng.choice(REPLAY_NOUNS) for _ in range(rng.choice((1, 1, 2)))]
+        start = len(forms) + 1
+        forms += agent + [rng.choice(REPLAY_VERBS), rng.choice(REPLAY_NOUNS)]
+        verb = start + len(agent)
+        first, second = ("A1", "A0") if rng.random() < 0.25 else ("A0", "A1")
+        spans = [(start, verb - 1, first), (verb + 1, verb + 1, second)]
+        if rng.random() < 0.4:
+            forms.append(rng.choice(REPLAY_ADVERBS))
+            spans.append((len(forms), len(forms), "AM"))
+        frames.append(frame(verb, *spans))
+    return sent(sid, forms, frames, side=side, pair=pair)
+
+
+def build_replay_fixture(root, seed=2):
+    """Write a small ``tag_pool = true`` retrain setup under ``root`` and
+    return the config path.
+
+    A third of the pool pairs have identical sides; on the rest the L2 side
+    swaps one noun for another or shuffles its words (the frames stay), so
+    the baseline often tags the two sides differently and the aligner's
+    LCS has ties to break.  One more pair leaves the aligner's greedy pass
+    a tie between two equally near positions.  At ``p = 0.9`` the run
+    selects some pairs but not all, and both models score F strictly
+    between 0 and 100 on every evaluation split.
+    """
+    from l2srl.corpus import render_corpus
+
+    rng = random.Random(seed)
+    root.mkdir(parents=True, exist_ok=True)
+
+    def write(name, sentences):
+        (root / name).write_bytes(render_corpus(Corpus(tuple(sentences))))
+
+    write("train.tsv", [replay_sentence(rng, f"tr{k}", "L1") for k in range(24)])
+    pool_l2, pool_l1 = [], []
+    for k in range(12):
+        l1 = replay_sentence(rng, f"p{k}.l1", "L1", pair=f"p{k}")
+        forms = list(l1.forms)
+        if k % 3 == 1:
+            nouns = [i for i, form in enumerate(forms) if form in REPLAY_NOUNS]
+            forms[rng.choice(nouns)] = rng.choice(REPLAY_NOUNS)
+        elif k % 3 == 2:
+            rng.shuffle(forms)
+        pool_l2.append(replace(l1, id=f"p{k}.l2", side="L2", forms=forms))
+        pool_l1.append(l1)
+    # Two L2 "mako"s left to the greedy pass, each as near to one L1 "mako"
+    # as to the other; the tie goes to the earlier position.
+    pool_l1.append(sent("tie.l1", ["mako", "tiv", "kesh", "grask", "mako"],
+                        [frame(4)], side="L1", pair="tie"))
+    pool_l2.append(sent("tie.l2", ["tiv", "kesh", "mako", "mako", "grask"],
+                        [frame(5)], side="L2", pair="tie"))
+    write("pool_l2.tsv", pool_l2)
+    write("pool_l1.tsv", pool_l1)
+    write("dev.tsv", [replay_sentence(rng, f"dv{k}", "L1") for k in range(8)])
+    write("test_l2.tsv", [replay_sentence(rng, f"te{k}", "L2") for k in range(8)])
+    write("test_l1.tsv", [replay_sentence(rng, f"tf{k}", "L1") for k in range(8)])
+    config = root / "retrain.cfg"
+    config.write_text(
+        "train = train.tsv\npool_l2 = pool_l2.tsv\npool_l1 = pool_l1.tsv\n"
+        "dev = dev.tsv\ntest_l2 = test_l2.tsv\ntest_l1 = test_l1.tsv\n"
+        "alignments = heuristic\ntag_pool = true\np = 0.9\nepochs = 3\nseed = 1\n"
+        f"out = {root / 'run'}\n",
+        encoding="utf-8",
+    )
+    return config

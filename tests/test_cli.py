@@ -11,10 +11,14 @@ from dataclasses import replace
 import pytest
 
 from helpers import (
+    build_replay_fixture,
     build_retrain_fixture,
     corpus,
     frame,
     random_pred_gold_corpora,
+    reference_align,
+    reference_tag_corpus,
+    reference_train,
     sent,
     toy_separable_corpus,
 )
@@ -304,6 +308,32 @@ def test_retrain_outputs_do_not_depend_on_hash_seed(tmp_path):
         "selection/selection.tsv",
     ]
     assert runs["0"] == runs["12345"]
+
+
+def test_retrain_matches_a_replay_through_the_references(tmp_path, monkeypatch, capsys):
+    """Every output of a retrain run equals that of a run whose training,
+    tagging and alignment are the brute-force references, so the fast paths
+    compose: two models decoding in turn, tagged pairs re-attached by pair
+    id, and alignment of the paired sentences."""
+    config = build_replay_fixture(tmp_path / "fix")
+    runs = {}
+    for name in ("fast", "reference"):
+        if name == "reference":
+            monkeypatch.setattr(pipeline, "train", reference_train)
+            monkeypatch.setattr(pipeline, "tag_corpus", reference_tag_corpus)
+            monkeypatch.setattr(pipeline, "heuristic_align", reference_align)
+        out = tmp_path / name
+        assert main(["retrain", "--config", str(config), "--out", str(out)]) == 0
+        runs[name] = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+    capsys.readouterr()
+    assert len(runs["fast"]) == 11
+    assert runs["fast"] == runs["reference"]
+    report = json.loads(runs["fast"]["report.json"])
+    assert 0 < report["selection"]["selected"] < report["selection"]["pool"]
+    for model in ("baseline", "retrained"):
+        assert all(0 < split["f1"] < 100 for split in report[model].values())
 
 
 def test_retrain_unknown_config_key_exit_2(tmp_path):

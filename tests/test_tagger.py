@@ -4,6 +4,7 @@ training, and model persistence."""
 import hashlib
 import random
 import weakref
+from operator import mul
 
 import pytest
 
@@ -11,6 +12,7 @@ from helpers import (
     corpus,
     frame,
     random_pred_gold_corpora,
+    reference_render_model,
     reference_train,
     reference_viterbi,
     sent,
@@ -604,6 +606,65 @@ def test_train_matches_reference_averaged_perceptron():
         assert model.emissions == expected.emissions
         assert model.transitions == expected.transitions
         assert render_model(model) == render_model(expected)
+
+
+@pytest.mark.parametrize("size", [18, 42])
+def test_lanes_round_trip_signed_rows(size):
+    lane, unpack = tagger._lanes(size)
+    top, bottom = 2**63 - 1, -(2**63)
+    rows = [
+        [0] * size,
+        [(-1) ** j * (j + 1) * 997 for j in range(size)],
+        [bottom, top] * (size // 2),
+        [top, bottom] * (size // 2),
+        [-1, 1] + [0] * (size - 2),  # a negative lane below a positive one
+        [0] * (size - 2) + [-5, 3],
+        [bottom] * size,
+        [top] * size,
+    ]
+    for row in rows:
+        assert unpack(sum(map(mul, row, lane))) == row
+    # Packed rows add and scale lane by lane while no lane leaves the range.
+    a, b = rows[1], rows[4]
+    packed = 3 * sum(map(mul, a, lane)) - sum(map(mul, b, lane))
+    assert unpack(packed) == [3 * x - y for x, y in zip(a, b)]
+
+
+def test_train_refuses_lane_overflow_before_the_first_step(monkeypatch):
+    class FirstStep(Exception):
+        pass
+
+    def first_step(*args):
+        raise FirstStep
+
+    monkeypatch.setattr(tagger, "_viterbi", first_step)
+    toy = toy_separable_corpus()  # 20 sequences of at most 4 tokens
+    # The bound is 2 * S * S * 4 for S = 20 * epochs steps; it first reaches
+    # 2**63 at S = 2**30, between 20 * 53_687_091 and 20 * 53_687_092.
+    with pytest.raises(FirstStep):
+        train(toy, TrainConfig(epochs=53_687_091))
+    with pytest.raises(ValueError, match="overflow a weight lane"):
+        train(toy, TrainConfig(epochs=53_687_092))
+
+
+def test_render_model_formats_equal_weights_alike():
+    """A weight's text depends only on its value, so ``1`` and ``1.0`` in one
+    model both render as ``1.0``, as in a per-cell renderer."""
+    model = TaggerModel(build_label_set(("A0", "A1")))
+    size = len(model.labels)
+    model.rows["w0=a"] = [1, 0, 1.0, -0.0, 2.5, 0.1 + 0.2] + [0] * (size - 6)
+    model.rows["w0=b"] = [0] * (size - 3) + [1.0, -1, 10**16 + 1]
+    model.rows["w0=c"] = [1e16, 10**16] + [0] * (size - 2)
+    model.transitions[("O", "B-A0")] = 1
+    model.transitions[("B-A0", "E-A0")] = 1.0
+    model.transitions[("O", "O")] = 0
+    model.transitions[("rel", "O")] = 2.5
+    data = render_model(model)
+    assert data == reference_render_model(model)
+    assert b"E\tw0=a\tO\t1.0\n" in data and b"E\tw0=a\tS-A0\t1.0\n" in data
+    assert b"T\tO\tB-A0\t1.0\n" in data and b"T\tB-A0\tE-A0\t1.0\n" in data
+    trained = train(toy_separable_corpus(), TrainConfig(epochs=3, seed=1))
+    assert render_model(trained) == reference_render_model(trained)
 
 
 def test_train_converges_on_separable_toy_corpus():
