@@ -39,9 +39,8 @@ from l2srl.model import (
     AnnotatedSentence,
     LANGS,
     SIDES,
-    _decode_tags,
-    is_position_tag,
-    split_tag,
+    checked_tag,
+    spans_from_tags,
     tags_from_spans,
 )
 
@@ -125,15 +124,14 @@ def parse_corpus(data: bytes) -> Corpus:
     lines = text_lines(data)
     sentences = []
     ids: set[str] = set()
-    tags: dict[str, tuple] = {}  # each distinct valid tag -> split_tag(tag)
     i = 0
     while i < len(lines):
-        sentence, i = _parse_block(lines, i, ids, tags)
+        sentence, i = _parse_block(lines, i, ids)
         sentences.append(sentence)
     return Corpus(tuple(sentences))
 
 
-def _parse_block(lines, i, ids, tags):
+def _parse_block(lines, i, ids):
     header_line = i + 1
     values = {}
     for key in _HEADER_KEYS:
@@ -157,13 +155,13 @@ def _parse_block(lines, i, ids, tags):
         raise ParseError(f"unknown side {values['side']!r}", header_line + 2)
 
     first_token_line = i + 1
-    block = _accept_token_lines(lines, i, tags) or _check_token_lines(lines, i, tags)
+    block = _accept_token_lines(lines, i) or _check_token_lines(lines, i)
     forms, markers, columns, i = block
 
     frames = []
     for k, column in enumerate(columns):
         try:
-            frames.append(_decode_tags(column, tags))
+            frames.append(spans_from_tags(column))
         except IllFormedTagSequence as exc:
             raise ParseError(
                 f"undecodable tag column {k + 1}: {exc}", first_token_line
@@ -206,14 +204,14 @@ def _parse_block(lines, i, ids, tags):
     return sentence, i
 
 
-def _accept_token_lines(lines, i, tags):
+def _accept_token_lines(lines, i):
     """The token lines from ``lines[i]`` to the next blank line as (forms,
     markers, tag columns, the index after the blank line) when they pass
     every check of _check_token_lines, else None.
 
     Checks the block a column at a time.  It only accepts: on anything else
     the per-line checks run and raise, so they stay the only source of
-    token-line errors.  Valid tags new to ``tags`` are added to it.
+    token-line errors.  Each distinct tag goes through ``checked_tag``.
     """
     try:
         end = lines.index("", i)
@@ -231,15 +229,12 @@ def _accept_token_lines(lines, i, tags):
         or not {*markers} <= {"Y", "_"}
     ):
         return None
-    for tag in set().union(*columns):
-        if tag not in tags:
-            if not is_position_tag(tag):
-                return None
-            tags[tag] = split_tag(tag)
+    if not all(map(checked_tag, set().union(*columns))):
+        return None
     return forms, markers, columns, end + 1
 
 
-def _check_token_lines(lines, i, tags):
+def _check_token_lines(lines, i):
     """What _accept_token_lines returns, checked one line at a time;
     raises ParseError with the line number of the first broken rule."""
     first_token_line = i + 1
@@ -275,10 +270,8 @@ def _check_token_lines(lines, i, tags):
         if cells[2] not in ("Y", "_"):
             raise ParseError(f"predicate marker must be Y or _, got {cells[2]!r}", i + 1)
         for k, cell in enumerate(cells[3:]):
-            if cell not in tags:
-                if not is_position_tag(cell):
-                    raise ParseError(f"undecodable tag {cell!r} in frame column {k + 1}", i + 1)
-                tags[cell] = split_tag(cell)
+            if checked_tag(cell) is None:
+                raise ParseError(f"undecodable tag {cell!r} in frame column {k + 1}", i + 1)
             columns[k].append(cell)
         forms.append(form)
         markers.append(cells[2])

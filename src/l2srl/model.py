@@ -156,6 +156,25 @@ class Alignment:
         object.__setattr__(self, "links", frozenset(self.links))
 
 
+# Every tag check shares this table: spans_from_tags and corpus parsing.
+# An entry depends on its tag alone, so sharing it across callers and
+# threads changes no result; checked_tag empties it when it is full, so
+# distinct valid tags (AM subtypes) cannot grow it without bound.
+_CHECKED_TAGS: dict[str, tuple] = {}
+_CHECKED_TAGS_LIMIT = 1024
+
+
+def checked_tag(tag: str) -> tuple | None:
+    """``split_tag(tag)`` for a valid position tag, which ``_CHECKED_TAGS``
+    then remembers, else None."""
+    split = _CHECKED_TAGS.get(tag)
+    if split is None and is_position_tag(tag):
+        if len(_CHECKED_TAGS) >= _CHECKED_TAGS_LIMIT:
+            _CHECKED_TAGS.clear()
+        split = _CHECKED_TAGS[tag] = split_tag(tag)
+    return split
+
+
 def spans_from_tags(tags) -> Frame:
     """Decode a position-tag sequence into a Frame.
 
@@ -163,22 +182,6 @@ def spans_from_tags(tags) -> Frame:
     ``S-x`` singletons or ``B-x I-x* E-x`` runs with a uniform label;
     anything else raises IllFormedTagSequence.
     """
-    return _decode_tags(tags, _CHECKED_TAGS)
-
-
-# Every call of spans_from_tags shares this table.  An entry depends on its
-# tag alone, so sharing it across callers and threads changes no result;
-# _decode_tags empties it when it is full, so distinct valid tags (AM
-# subtypes) cannot grow it without bound.
-_CHECKED_TAGS: dict[str, tuple] = {}
-_CHECKED_TAGS_LIMIT = 1024
-
-
-def _decode_tags(tags, parts: dict) -> Frame:
-    """spans_from_tags, given ``parts``: a table of the tags already known
-    to be valid, each mapped to its ``split_tag``.  Tags missing from the
-    table are checked and added to it, after emptying a table that holds
-    ``_CHECKED_TAGS_LIMIT`` tags."""
     spans: list[Span] = []
     predicate = None
     run_label: str | None = None
@@ -193,13 +196,9 @@ def _decode_tags(tags, parts: dict) -> Frame:
             if run_label is not None:
                 fail(pos, f"run B-{run_label} not closed before {tag!r}")
             continue
-        split = parts.get(tag)
+        split = _CHECKED_TAGS.get(tag) or checked_tag(tag)
         if split is None:
-            if not is_position_tag(tag):
-                fail(pos, f"unknown tag {tag!r}")
-            if len(parts) >= _CHECKED_TAGS_LIMIT:
-                parts.clear()
-            split = parts[tag] = split_tag(tag)
+            fail(pos, f"unknown tag {tag!r}")
         position, label = split
         if run_label is None:
             if position == "B":

@@ -65,7 +65,7 @@ class TaggerModel:
     weight have a row.  ``emissions`` is the same weights keyed by
     ``(feature, label)``: one view, reused while ``rows`` and ``labels`` are
     the same objects (so replace ``labels`` rather than edit it in place).
-    Decoding reuses one transition lattice until ``labels`` or a
+    Decoding reuses one ``(grammar, lattice)`` pair until ``labels`` or a
     transition weight changes (see ``_scorer``).
     """
 
@@ -109,21 +109,15 @@ class Emissions(MutableMapping):
     def __setitem__(self, key, weight):
         f, lab = key
         j = self._index[lab]
-        if not weight:
-            self.pop(key, None)
-            return
-        if (row := self._rows.get(f)) is None:
-            row = self._rows[f] = [0] * len(self._labels)
-        row[j] = weight
+        row = self._rows.setdefault(f, [0] * len(self._labels))
+        row[j] = weight or 0
+        if not any(row):
+            del self._rows[f]
 
     def __delitem__(self, key):
         if self.get(key) is None:
             raise KeyError(key)
-        f, lab = key
-        row = self._rows[f]
-        row[self._index[lab]] = 0
-        if not any(row):
-            del self._rows[f]
+        self[key] = 0
 
     def __iter__(self):
         for f, row in self._rows.items():
@@ -356,25 +350,9 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     return path
 
 
-class _Scorer:
-    """Decoding state of one model: the compiled grammar and the transition
-    lattice.  ``_scorer`` keeps one per model and rebuilds it when the
-    model's labels or transitions change."""
-
-    def __init__(self, model: TaggerModel):
-        labels = model.labels
-        index = _label_index(tuple(labels))
-        matrix = [[0] * len(labels) for _ in labels]
-        for (prev, lab), w in model.transitions.items():
-            if prev in index and lab in index:
-                matrix[index[prev]][index[lab]] = w
-        self.grammar = compile_grammar(tuple(labels))
-        self.lattice = _lattice(self.grammar, list(zip(*matrix)))
-
-
-def _scorer(model: TaggerModel) -> _Scorer:
-    """The model's ``_Scorer``, reused while its labels are equal and its
-    transitions hold the same keys and the same weight objects, in order.
+def _scorer(model: TaggerModel) -> tuple:
+    """The model's ``(grammar, lattice)`` decode state, reused while its labels
+    are equal and its transitions hold the same keys and weight objects, in order.
 
     Weights are compared by identity, not ``==``: ``10**16 == 1e16`` but
     sums with them round differently, ``0 == -0.0`` but their signs differ,
@@ -392,7 +370,13 @@ def _scorer(model: TaggerModel) -> _Scorer:
         and all(map(is_, cached[1].values(), transitions.values()))
     ):
         return cached[2]
-    scorer = _Scorer(model)
+    index = _label_index(labels)
+    matrix = [[0] * len(labels) for _ in labels]
+    for (prev, lab), w in transitions.items():
+        if prev in index and lab in index:
+            matrix[index[prev]][index[lab]] = w
+    grammar = compile_grammar(labels)
+    scorer = grammar, _lattice(grammar, list(zip(*matrix)))
     model._scorer_cache = (labels, dict(transitions), scorer)
     return scorer
 
@@ -401,12 +385,12 @@ def viterbi_decode(
     model: TaggerModel,
     sentence: AnnotatedSentence,
     predicate_index: int,
-    scorer: _Scorer | None = None,
+    scorer: tuple | None = None,
 ) -> list[str]:
     """Decode the best tag sequence for one predicate of a sentence.
 
-    ``scorer`` is the model's ``_scorer``, which ``tag`` looks up once for
-    all the frames it decodes; without it this call looks it up.
+    ``scorer`` is the model's ``_scorer`` pair, which ``tag`` looks up once
+    for all the frames it decodes; without it this call looks it up.
     """
     n = len(sentence)
     if not 1 <= predicate_index <= n:
@@ -427,7 +411,7 @@ def viterbi_decode(
             if hit := weights(f):
                 row = hit if row is zero else list(map(add, row, hit))
         emit.append(row)
-    path = _viterbi(scorer.grammar, scorer.lattice, emit, predicate_index - 1)
+    path = _viterbi(*scorer, emit, predicate_index - 1)
     return [model.labels[j] for j in path]
 
 

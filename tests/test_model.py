@@ -11,9 +11,10 @@ import pytest
 
 from helpers import frame
 from l2srl import model
-from l2srl.corpus import parse_corpus
+from l2srl.corpus import Corpus, parse_corpus, render_corpus
 from l2srl.errors import IllFormedTagSequence, InvalidFrame, ParseError
 from l2srl.model import (
+    AnnotatedSentence,
     Frame,
     Span,
     Token,
@@ -120,17 +121,32 @@ def test_shared_tag_table_leaves_parse_errors_unchanged(monkeypatch):
 
 def test_shared_tag_table_never_grows_past_its_limit(monkeypatch):
     """Distinct valid AM subtypes empty the table rather than grow it, in
-    one long sequence as across many short ones, and decodes stay exact."""
+    one long sequence as across many short ones and in a parsed corpus,
+    and decodes and parses stay exact."""
     monkeypatch.setattr(model, "_CHECKED_TAGS", {})
     subtypes = [f"AM-X{k}" for k in range(3 * model._CHECKED_TAGS_LIMIT)]
     long = ["rel"] + [f"S-{lab}" for lab in subtypes]
-    assert spans_from_tags(long) == frame(
-        1, *[(k, k, lab) for k, lab in enumerate(subtypes, start=2)]
-    )
+    expected = frame(1, *[(k, k, lab) for k, lab in enumerate(subtypes, start=2)])
+    assert spans_from_tags(long) == expected
     assert 0 < len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
     for tags in _valid_sequences(subtypes[:800]):
         spans_from_tags(tags)
         assert len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
+
+    def sentence(sid, n, f):
+        return AnnotatedSentence(sid, "ENG", "L2", sid, ["w"] * n, [f])
+
+    # The parser checks its tags through the same table: the long frame,
+    # then S-x B-x I-x E-x of every subtype, then a tag never decoded above.
+    data = render_corpus(Corpus([
+        sentence("long", len(long), expected),
+        *(sentence(lab, 5, frame(2, (1, 1, lab), (3, 5, lab))) for lab in subtypes),
+        sentence("new", 2, frame(1, (2, 2, "AM-NEW"))),
+    ]))
+    assert "S-AM-NEW" not in model._CHECKED_TAGS
+    assert render_corpus(parse_corpus(data)) == data
+    assert 0 < len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
+    assert model._CHECKED_TAGS["S-AM-NEW"] == ("S", "AM-NEW")
 
 
 def test_encode_examples():

@@ -475,15 +475,19 @@ def test_tag_sees_weights_changed_between_calls():
 
 
 def _count_scorer_builds(monkeypatch):
-    """Make ``tagger._Scorer`` log each model it is built for; return the log."""
+    """Wrap ``tagger._scorer`` to log each model whose ``_scorer_cache`` entry
+    a call replaces, that is each decode state built; return the log."""
     builds = []
+    scorer = tagger._scorer
 
-    class CountingScorer(tagger._Scorer):
-        def __init__(self, model):
+    def counting(model):
+        cached = model.__dict__.get("_scorer_cache")
+        pair = scorer(model)
+        if model.__dict__.get("_scorer_cache") is not cached:
             builds.append(model)
-            super().__init__(model)
+        return pair
 
-    monkeypatch.setattr(tagger, "_Scorer", CountingScorer)
+    monkeypatch.setattr(tagger, "_scorer", counting)
     return builds
 
 
