@@ -14,22 +14,23 @@ repair one error type:
 
 A transform is skipped wherever it would create overlapping spans or cover
 the predicate token.  Re-scoring after each stage gives a monotonically
-non-decreasing F that ends at 100 once everything has been dropped or added.
+non-decreasing F.  When the gold holds at least one span, F ends at 100 once
+everything has been dropped or added; on span-free gold every stage scores
+F 0 and closes none of the gap, as the scorer reads 0/0 as 0.
 
-The sequence is scored a frame at a time: one [predicted, gold] frame pair
-per predicate, gold triples counted once per label, and per-label predicted
-and matched counts that take a changed frame's old triples out and its new
-ones in, so every report equals a full rescore of the corpus.  A transform
-that changes nothing returns the frame it was given.
+The sequence is scored a frame at a time on the scorer's own frame pairs and
+per-label counts: gold labels are counted once, and a changed frame's old
+predicted and matched labels are taken out and its new ones put in, so every
+report equals a full rescore of the corpus.  A transform that changes
+nothing returns the frame it was given.
 """
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from l2srl.corpus import Corpus
 from l2srl.model import CORE_LABELS, Frame, Span, spans_overlap
-from l2srl.scoring import ScoreReport, _aligned, _frame_triples
+from l2srl.scoring import ScoreReport, _aligned, _counts, _frame_pairs, _report, _tally
 
 ORACLE_SEQUENCE = ("fix", "move", "merge", "split", "boundary", "drop", "add")
 
@@ -191,46 +192,18 @@ def apply_oracle(pred: Frame, gold: Frame, kind: str) -> Frame:
     return transform(pred, gold)
 
 
-def _with_empty_counterparts(pred_s, gold_s):
-    """Give the predicted sentence an empty frame for every gold-only predicate."""
-    have = {f.predicate_index for f in pred_s.frames}
-    missing = [
-        Frame(f.predicate_index)
-        for f in gold_s.frames
-        if f.predicate_index not in have
-    ]
-    if not missing:
-        return pred_s
-    frames = tuple(sorted(pred_s.frames + tuple(missing), key=lambda f: f.predicate_index))
-    return replace(pred_s, frames=frames)
-
-
 def oracle_sequence(
     pred: Corpus, gold: Corpus, am_coarse: bool = False
 ) -> tuple[ScoreReport, list[OracleStage]]:
     """Apply the seven transforms in order, re-scoring after each.
 
     Returns the pre-transform baseline report and one OracleStage per
-    transform; the final stage always scores F = 100.  Gold frames must be
-    valid, as ``parse_corpus`` guarantees.
+    transform; when the gold holds at least one span, the final stage scores
+    F = 100.  Gold frames must be valid, as ``parse_corpus`` guarantees.
     """
-    pairs = []  # [predicted frame, gold frame]; the last frame per predicate wins
-    for pred_s, gold_s in _aligned(pred, gold):
-        truth = {f.predicate_index: f for f in gold_s.frames}
-        frames = {f.predicate_index: f for f in _with_empty_counterparts(pred_s, gold_s).frames}
-        pairs += ([f, truth.get(p) or Frame(p)] for p, f in frames.items())
-    golds, predicted, matched = Counter(), Counter(), Counter()
-
-    def tally(pair, sign):
-        truth = _frame_triples(pair[1], am_coarse)
-        for triple in _frame_triples(pair[0], am_coarse):
-            predicted[triple[2]] += sign
-            if triple in truth:
-                matched[triple[2]] += sign
-
-    for pair in pairs:
-        golds.update(triple[2] for triple in _frame_triples(pair[1], am_coarse))
-        tally(pair, 1)
+    # [predicted frame, gold frame] lists, so a changed frame replaces the first
+    pairs = [list(pair) for pair in _frame_pairs(_aligned(pred, gold))]
+    golds, predicted, matched = _counts(pairs, am_coarse)
     baseline = _report(golds, predicted, matched)
     f_before = baseline.f1
     stages = []
@@ -242,21 +215,10 @@ def oracle_sequence(
         for pair in pairs:
             new = transform(*pair)
             if new is not pair[0]:
-                tally(pair, -1)
+                _tally(predicted, matched, pair, am_coarse, -1)
                 pair[0] = new
-                tally(pair, 1)
+                _tally(predicted, matched, pair, am_coarse)
         report = _report(golds, predicted, matched)
         stages.append(OracleStage(kind, report, f_before))
         f_before = report.f1
     return baseline, stages
-
-
-def _report(golds: Counter, predicted: Counter, matched: Counter) -> ScoreReport:
-    """The report a full rescore gives: one sub-report per label with a triple."""
-    per_role = {
-        label: ScoreReport(matched[label], predicted[label], golds[label])
-        for label in sorted(golds.keys() | predicted.keys())
-        if predicted[label] or golds[label]
-    }
-    return ScoreReport(sum(matched.values()), sum(predicted.values()),
-                       sum(golds.values()), per_role)

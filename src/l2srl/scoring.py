@@ -8,6 +8,7 @@ are kept in full precision and rendered half-up to two decimals.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -59,12 +60,6 @@ class ScoreReport:
     def f1(self) -> float:
         p, r = self.precision, self.recall
         return 2.0 * p * r / (p + r) if p + r else 0.0
-
-    def role(self, label: str) -> "ScoreReport":
-        report = self.per_role.get(label)
-        if report is None:
-            report = self.per_role[label] = ScoreReport()
-        return report
 
     def to_dict(self) -> dict:
         d = {
@@ -129,9 +124,16 @@ def _aligned(pred: Corpus, gold: Corpus) -> list[tuple[AnnotatedSentence, Annota
     return out
 
 
-def _triples(sentence: AnnotatedSentence, am_coarse: bool) -> dict[int, set]:
-    """Per-predicate sets of (start, end, label) span triples; a Span is one."""
-    return {f.predicate_index: _frame_triples(f, am_coarse) for f in sentence.frames}
+def _frame_pairs(sentence_pairs):
+    """One (predicted frame, gold frame) per predicate on either side of each
+    aligned sentence pair; a missing side is an empty frame, and of two frames
+    on one predicate the last wins."""
+    for pred_s, gold_s in sentence_pairs:
+        golds = {f.predicate_index: f for f in gold_s.frames}
+        for p, frame in {f.predicate_index: f for f in pred_s.frames}.items():
+            yield frame, golds.pop(p, None) or Frame(p)
+        for p, frame in golds.items():
+            yield Frame(p), frame
 
 
 def _frame_triples(frame: Frame, am_coarse: bool) -> set:
@@ -141,36 +143,37 @@ def _frame_triples(frame: Frame, am_coarse: bool) -> set:
     return {(s.start, s.end, coarse_label(s.label)) for s in frame.spans}
 
 
-def _accumulate(report: ScoreReport, pred_s, gold_s, am_coarse: bool) -> None:
-    pred_frames = _triples(pred_s, am_coarse)
-    gold_frames = _triples(gold_s, am_coarse)
-    per_role = report.per_role
-    for predicate in pred_frames.keys() | gold_frames.keys():
-        pt = pred_frames.get(predicate, set())
-        gt = gold_frames.get(predicate, set())
-        both = pt & gt
-        report.matched += len(both)
-        report.predicted += len(pt)
-        report.gold += len(gt)
-        for triple in pt:
-            role = per_role.get(triple[2]) or report.role(triple[2])
-            role.predicted += 1
-            if triple in both:
-                role.matched += 1
-        for triple in gt:
-            (per_role.get(triple[2]) or report.role(triple[2])).gold += 1
+def _counts(frame_pairs, am_coarse: bool) -> tuple[Counter, Counter, Counter]:
+    """Per-label gold, predicted and matched triple counts over frame pairs."""
+    golds, predicted, matched = [], [], []
+    for pred, gold in frame_pairs:
+        pt = _frame_triples(pred, am_coarse)
+        gt = _frame_triples(gold, am_coarse)
+        golds += [t[2] for t in gt]
+        predicted += [t[2] for t in pt]
+        matched += [t[2] for t in pt & gt]
+    return Counter(golds), Counter(predicted), Counter(matched)
 
 
-def add_counts(total: ScoreReport, part: ScoreReport) -> None:
-    """Add the counts of ``part``, per role too."""
-    total.matched += part.matched
-    total.predicted += part.predicted
-    total.gold += part.gold
-    for label, counts in part.per_role.items():
-        role = total.role(label)
-        role.matched += counts.matched
-        role.predicted += counts.predicted
-        role.gold += counts.gold
+def _tally(predicted: Counter, matched: Counter, pair, am_coarse: bool, sign: int = 1) -> None:
+    """Add one frame pair's predicted and matched labels, or take them out
+    with sign=-1."""
+    truth = _frame_triples(pair[1], am_coarse)
+    for triple in _frame_triples(pair[0], am_coarse):
+        predicted[triple[2]] += sign
+        if triple in truth:
+            matched[triple[2]] += sign
+
+
+def _report(golds: Counter, predicted: Counter, matched: Counter) -> ScoreReport:
+    """The report of per-label counts: one sub-report per label with a triple."""
+    per_role = {
+        label: ScoreReport(matched[label], predicted[label], golds[label])
+        for label in sorted(golds.keys() | predicted.keys())
+        if predicted[label] or golds[label]
+    }
+    return ScoreReport(sum(matched.values()), sum(predicted.values()),
+                       sum(golds.values()), per_role)
 
 
 def score(pred: Corpus, gold: Corpus, am_coarse: bool = False) -> ScoreReport:
@@ -179,10 +182,7 @@ def score(pred: Corpus, gold: Corpus, am_coarse: bool = False) -> ScoreReport:
     Frames are matched by predicate index; a frame present on only one side
     contributes its spans as all-spurious or all-missed.
     """
-    report = ScoreReport()
-    for pred_s, gold_s in _aligned(pred, gold):
-        _accumulate(report, pred_s, gold_s, am_coarse)
-    return report
+    return _report(*_counts(_frame_pairs(_aligned(pred, gold)), am_coarse))
 
 
 def f_delta(l2_report: ScoreReport, l1_report: ScoreReport) -> float:
@@ -202,28 +202,32 @@ def score_grouped(
     parts = GROUPINGS.get(group_by)
     if parts is None:
         raise ValueError(f"unknown grouping {group_by!r} (use lang, side, or lang,side)")
-    overall = ScoreReport(groups={})
-    keyed: dict[tuple, ScoreReport] = {}
-    for pred_s, gold_s in _aligned(pred, gold):
+    keyed: dict[tuple, list] = {}
+    for pair in _aligned(pred, gold):
         key = []
         for part in parts:
-            value = getattr(gold_s, part)
+            value = getattr(pair[1], part)
             if not value:
-                raise MissingMetadata(f"sentence {gold_s.id!r} has no {part}")
+                raise MissingMetadata(f"sentence {pair[1].id!r} has no {part}")
             key.append(value)
-        key = tuple(key)
-        _accumulate(keyed.setdefault(key, ScoreReport()), pred_s, gold_s, am_coarse)
-    for group in keyed.values():
-        add_counts(overall, group)
+        keyed.setdefault(tuple(key), []).append(pair)
+    totals = Counter(), Counter(), Counter()
+    groups = {}
+    for key, pairs in keyed.items():
+        counts = _counts(_frame_pairs(pairs), am_coarse)
+        for total, part in zip(totals, counts):
+            total.update(part)
+        groups[key] = _report(*counts)
     if "side" in parts:
         axis = parts.index("side")
-        for key, group in keyed.items():
+        for key, group in groups.items():
             if key[axis] != "L2":
                 continue
             twin = key[:axis] + ("L1",) + key[axis + 1 :]
-            if twin in keyed:
-                group.delta_f = f_delta(group, keyed[twin])
-    overall.groups = {"/".join(key): rep for key, rep in sorted(keyed.items())}
+            if twin in groups:
+                group.delta_f = f_delta(group, groups[twin])
+    overall = _report(*totals)
+    overall.groups = {"/".join(key): rep for key, rep in sorted(groups.items())}
     return overall
 
 
@@ -236,27 +240,28 @@ def iaa(annotator_a: Corpus, annotator_b: Corpus, am_coarse: bool = False) -> Sc
 
 
 def confusion_matrix(pred: Corpus, gold: Corpus, am_coarse: bool = False) -> ConfusionMatrix:
-    """Count label confusions under the three boundary-based cases."""
+    """Count label confusions under the three boundary-based cases.
+
+    Gold frames must be valid, as ``parse_corpus`` guarantees: with one gold
+    span per extent, no count depends on the order spans are visited in.
+    """
     matrix = ConfusionMatrix()
-    for pred_s, gold_s in _aligned(pred, gold):
-        pred_frames = _triples(pred_s, am_coarse)
-        gold_frames = _triples(gold_s, am_coarse)
-        for predicate in sorted(set(pred_frames) | set(gold_frames)):
-            pt = sorted(pred_frames.get(predicate, set()))
-            gt = sorted(gold_frames.get(predicate, set()))
-            gold_bounds = {(s, e): lab for s, e, lab in gt}
-            pred_bounds = {(s, e): lab for s, e, lab in pt}
-            for s, e, lab in pt:
-                exact = gold_bounds.get((s, e))
-                if exact is not None:
-                    matrix.bump(exact, lab)
-                elif not any(s <= ge and gs <= e for gs, ge, _ in gt):
-                    matrix.bump("O", lab)
-            for s, e, lab in gt:
-                if (s, e) in pred_bounds:
-                    continue  # counted as a boundary match above
-                if not any(s <= pe and ps <= e for ps, pe, _ in pt):
-                    matrix.bump(lab, "O")
+    for pred_frame, gold_frame in _frame_pairs(_aligned(pred, gold)):
+        pt = _frame_triples(pred_frame, am_coarse)
+        gt = _frame_triples(gold_frame, am_coarse)
+        gold_bounds = {(s, e): lab for s, e, lab in gt}
+        pred_bounds = {(s, e) for s, e, _ in pt}
+        for s, e, lab in pt:
+            exact = gold_bounds.get((s, e))
+            if exact is not None:
+                matrix.bump(exact, lab)
+            elif not any(s <= ge and gs <= e for gs, ge, _ in gt):
+                matrix.bump("O", lab)
+        for s, e, lab in gt:
+            if (s, e) in pred_bounds:
+                continue  # counted as a boundary match above
+            if not any(s <= pe and ps <= e for ps, pe, _ in pt):
+                matrix.bump(lab, "O")
     return matrix
 
 

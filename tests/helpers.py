@@ -20,7 +20,7 @@ from l2srl.model import (
     spans_from_tags,
     tags_from_spans,
 )
-from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, _with_empty_counterparts, apply_oracle
+from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, apply_oracle
 from l2srl.scoring import _aligned, score
 from l2srl.tagger import (
     TaggerModel,
@@ -125,33 +125,48 @@ def random_pred_gold_corpora(rng, n_sentences, labels=("A0", "A1", "A2", "AM")):
     return Corpus(tuple(preds)), Corpus(tuple(golds))
 
 
-def brute_force_counts(pred_corpus, gold_corpus):
-    """Literal span-triple counter: enumerate all (pred, gold) span pairs."""
-    matched = predicted = gold = 0
+def brute_force_counts(pred_corpus, gold_corpus, am_coarse=False):
+    """Literal span-triple counter: enumerate all (pred, gold) span pairs.
+
+    Returns the total (matched, predicted, gold) and a dict of the same
+    triple per label, with every AM-* label read as AM when am_coarse.
+    """
+    per_label = {}
+
+    def bump(label, k):
+        per_label.setdefault(label, [0, 0, 0])[k] += 1
+
+    def triple(s):
+        label = "AM" if am_coarse and s.label.startswith("AM-") else s.label
+        return s.start, s.end, label
+
     gold_by_id = {s.id: s for s in gold_corpus.sentences}
     for p_sent in pred_corpus.sentences:
         g_sent = gold_by_id[p_sent.id]
         p_frames = {f.predicate_index: f for f in p_sent.frames}
         g_frames = {f.predicate_index: f for f in g_sent.frames}
         for idx in set(p_frames) | set(g_frames):
-            p_spans = list(p_frames[idx].spans) if idx in p_frames else []
-            g_spans = list(g_frames[idx].spans) if idx in g_frames else []
-            predicted += len(p_spans)
-            gold += len(g_spans)
+            p_spans = [triple(s) for s in p_frames[idx].spans] if idx in p_frames else []
+            g_spans = [triple(s) for s in g_frames[idx].spans] if idx in g_frames else []
+            for ps in p_spans:
+                bump(ps[2], 1)
+            for gs in g_spans:
+                bump(gs[2], 2)
             used = set()
             for ps in p_spans:
                 for gi, gs in enumerate(g_spans):
                     if gi in used:
                         continue
-                    if (ps.start, ps.end, ps.label) == (gs.start, gs.end, gs.label):
-                        matched += 1
+                    if ps == gs:
+                        bump(ps[2], 0)
                         used.add(gi)
                         break
-    return matched, predicted, gold
+    totals = tuple(sum(counts[k] for counts in per_label.values()) for k in range(3))
+    return totals, {label: tuple(counts) for label, counts in per_label.items()}
 
 
-def brute_force_prf(pred_corpus, gold_corpus):
-    matched, predicted, gold = brute_force_counts(pred_corpus, gold_corpus)
+def brute_force_prf(pred_corpus, gold_corpus, am_coarse=False):
+    (matched, predicted, gold), _ = brute_force_counts(pred_corpus, gold_corpus, am_coarse)
     p = 100.0 * matched / predicted if predicted else 0.0
     r = 100.0 * matched / gold if gold else 0.0
     f = 2.0 * p * r / (p + r) if p + r else 0.0
@@ -311,6 +326,20 @@ def reference_render_model(model):
         if w:
             lines.append(f"T\t{a}\t{b}\t{repr(float(w))}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _with_empty_counterparts(pred_s, gold_s):
+    """Give the predicted sentence an empty frame for every gold-only predicate."""
+    have = {f.predicate_index for f in pred_s.frames}
+    missing = [
+        Frame(f.predicate_index)
+        for f in gold_s.frames
+        if f.predicate_index not in have
+    ]
+    if not missing:
+        return pred_s
+    frames = tuple(sorted(pred_s.frames + tuple(missing), key=lambda f: f.predicate_index))
+    return replace(pred_s, frames=frames)
 
 
 def reference_oracle_sequence(pred, gold, am_coarse=False):

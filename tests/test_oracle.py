@@ -249,6 +249,20 @@ def test_sequence_fixpoint_on_identical():
     assert [s.kind for s in stages] == list(ORACLE_SEQUENCE)
 
 
+def test_sequence_on_span_free_gold_scores_zero_at_every_stage():
+    # With no gold span, recall is 0/0 and so is precision once drop has
+    # run; the scorer reads both as 0, so F never reaches 100.
+    gold = corpus(sent("s1", list("abcd"), [frame(2)]), sent("s2", list("ab")))
+    pred = corpus(
+        sent("s1", list("abcd"), [frame(2, (1, 1, "A0"), (3, 4, "A1"))]),
+        sent("s2", list("ab"), [frame(1, (2, 2, "AM"))]),
+    )
+    baseline, stages = oracle_sequence(pred, gold)
+    assert baseline.f1 == 0.0
+    assert [s.report.f1 for s in stages] == [0.0] * len(ORACLE_SEQUENCE)
+    assert [s.relative_improvement for s in stages] == [0.0] * len(ORACLE_SEQUENCE)
+
+
 def test_sequence_over_corpus_handles_unmatched_frames():
     gold = corpus(
         sent("s1", list("abcde"), [frame(2, (1, 1, "A0")), frame(4, (5, 5, "A1"))])

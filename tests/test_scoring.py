@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import (
+    brute_force_counts,
     brute_force_prf,
     corpus,
     frame,
@@ -106,13 +107,21 @@ def test_per_role_breakdown():
     assert report.per_role["AM"].predicted == 1 and report.per_role["AM"].matched == 0
 
 
+SUBTYPED_LABELS = ("A0", "A1", "A2", "AM", "AM-TMP", "AM-LOC")
+
+
 def test_scorer_equals_brute_force_on_random_corpora():
     rng = random.Random(42)
     for _ in range(200):
-        pred, gold = random_pred_gold_corpora(rng, rng.randint(1, 5))
-        report = score(pred, gold)
-        bp, br, bf = brute_force_prf(pred, gold)
-        assert (report.precision, report.recall, report.f1) == (bp, br, bf)
+        pred, gold = random_pred_gold_corpora(rng, rng.randint(1, 5), SUBTYPED_LABELS)
+        for am_coarse in (False, True):
+            report = score(pred, gold, am_coarse)
+            bp, br, bf = brute_force_prf(pred, gold, am_coarse)
+            assert (report.precision, report.recall, report.f1) == (bp, br, bf)
+            totals, per_label = brute_force_counts(pred, gold, am_coarse)
+            assert (report.matched, report.predicted, report.gold) == totals
+            assert {label: (role.matched, role.predicted, role.gold)
+                    for label, role in report.per_role.items()} == per_label
 
 
 def test_grouped_report_is_the_sum_of_its_groups():
@@ -253,31 +262,44 @@ def test_confusion_matrix_counts_diagonal():
 def test_confusion_case_totals_random():
     rng = random.Random(3)
     for _ in range(50):
-        pred, gold = random_pred_gold_corpora(rng, rng.randint(1, 3))
-        matrix = confusion_matrix(pred, gold)
-        boundary = overlap_only = pred_alone = gold_alone = 0
-        for p_sent, g_sent in zip(
-            sorted(pred.sentences, key=lambda s: s.id),
-            sorted(gold.sentences, key=lambda s: s.id),
-        ):
-            pf = {f.predicate_index: f for f in p_sent.frames}
-            gf = {f.predicate_index: f for f in g_sent.frames}
-            for idx in set(pf) | set(gf):
-                ps = list(pf[idx].spans) if idx in pf else []
-                gs = list(gf[idx].spans) if idx in gf else []
-                for s in ps:
-                    exact = [g for g in gs if (g.start, g.end) == (s.start, s.end)]
-                    anyov = [g for g in gs if g.start <= s.end and s.start <= g.end]
-                    if exact:
-                        boundary += 1
-                    elif anyov:
-                        overlap_only += 1
-                    else:
-                        pred_alone += 1
-                for g in gs:
-                    if not any(p.start <= g.end and g.start <= p.end for p in ps):
-                        gold_alone += 1
-        assert matrix.total == boundary + pred_alone + gold_alone
+        pred, gold = random_pred_gold_corpora(rng, rng.randint(1, 3), SUBTYPED_LABELS)
+        for am_coarse in (False, True):
+            def label(span):
+                return "AM" if am_coarse and span.label.startswith("AM-") else span.label
+
+            matrix = confusion_matrix(pred, gold, am_coarse)
+            expected = {}
+            boundary = overlap_only = pred_alone = gold_alone = 0
+
+            def bump(key):
+                expected[key] = expected.get(key, 0) + 1
+
+            for p_sent, g_sent in zip(
+                sorted(pred.sentences, key=lambda s: s.id),
+                sorted(gold.sentences, key=lambda s: s.id),
+            ):
+                pf = {f.predicate_index: f for f in p_sent.frames}
+                gf = {f.predicate_index: f for f in g_sent.frames}
+                for idx in set(pf) | set(gf):
+                    ps = list(pf[idx].spans) if idx in pf else []
+                    gs = list(gf[idx].spans) if idx in gf else []
+                    for s in ps:
+                        exact = [g for g in gs if (g.start, g.end) == (s.start, s.end)]
+                        anyov = [g for g in gs if g.start <= s.end and s.start <= g.end]
+                        if exact:
+                            boundary += 1
+                            bump((label(exact[0]), label(s)))
+                        elif anyov:
+                            overlap_only += 1
+                        else:
+                            pred_alone += 1
+                            bump(("O", label(s)))
+                    for g in gs:
+                        if not any(p.start <= g.end and g.start <= p.end for p in ps):
+                            gold_alone += 1
+                            bump((label(g), "O"))
+            assert matrix.counts == expected
+            assert matrix.total == boundary + pred_alone + gold_alone
 
 
 def test_confusion_tsv_layout():
