@@ -155,6 +155,24 @@ def _distance_bucket(d: int) -> str:
     return f"{sign}>5"
 
 
+# ``(dist feature, bucket, side feature)`` per distance -6..6, where -6 and 6
+# stand for every distance past 5 on their side.
+_DISTANCE = tuple(
+    (f"dist={b}", b, "is_pred" if d == 0 else "side=left" if d < 0 else "side=right")
+    for d in range(-6, 7)
+    for b in [_distance_bucket(d)]
+)
+
+
+def _window(forms, i: int) -> list[str]:
+    """The words at 1-based positions ``i - 1``, ``i`` and ``i + 1``, padded."""
+    n = len(forms)
+    return [
+        forms[k - 1] if 0 < k <= n else PAD_START if k < 1 else PAD_END
+        for k in (i - 1, i, i + 1)
+    ]
+
+
 def extract_features(
     sentence: AnnotatedSentence, predicate_index: int, position: int
 ) -> list[str]:
@@ -167,38 +185,30 @@ def extract_features(
     """
     forms = sentence.forms
     n = len(forms)
-
-    def word(i: int) -> str:
-        if i < 1:
-            return PAD_START
-        if i > n:
-            return PAD_END
-        return forms[i - 1]
-
-    w0 = word(position)
-    wm1 = word(position - 1)
-    wp1 = word(position + 1)
-    pw = word(predicate_index)
+    if 1 < position < n:
+        wm1, w0, wp1 = forms[position - 2 : position + 1]
+    else:
+        wm1, w0, wp1 = _window(forms, position)
+    if 1 < predicate_index < n:
+        pwm1, pw, pwp1 = forms[predicate_index - 2 : predicate_index + 1]
+    else:
+        pwm1, pw, pwp1 = _window(forms, predicate_index)
     d = position - predicate_index
-    bucket = _distance_bucket(d)
-    feats = [
+    dist, bucket, side = _DISTANCE[d + 6 if -6 < d < 6 else 0 if d < 0 else 12]
+    return [
         f"w0={w0}",
         f"w-1={wm1}",
         f"w+1={wp1}",
         f"w-1|w0={wm1}|{w0}",
         f"w0|w+1={w0}|{wp1}",
         f"pw={pw}",
-        f"pw-1={word(predicate_index - 1)}",
-        f"pw+1={word(predicate_index + 1)}",
-        f"dist={bucket}",
+        f"pw-1={pwm1}",
+        f"pw+1={pwp1}",
+        dist,
         f"w0&pw={w0}|{pw}",
         f"dist&pw={bucket}|{pw}",
+        side,
     ]
-    if d == 0:
-        feats.append("is_pred")
-    else:
-        feats.append("side=left" if d < 0 else "side=right")
-    return feats
 
 
 def _can_start(tag: str) -> bool:
@@ -262,10 +272,15 @@ def _entry(grammar: Grammar, j: int, column) -> tuple:
 
     A label whose predecessors are ``grammar.closed`` gets ``(j, top,
     column)``, ``top`` being the largest of those predecessors' weights; any
-    other label gets ``(j, pairs)``, with ``(k, column[k])`` per predecessor.
+    other label gets ``(j, k1, w1, k2, w2)``: its predecessors ``k1 < k2``
+    with their weights.  A label with fewer than two predecessors (in a label
+    list not closed under the grammar) is padded with a dead ``(j, -inf)``
+    slot; one with more (a list repeating a label) raises ValueError.
     """
     if j in grammar.inner:
-        return j, tuple([(k, column[k]) for k in grammar.predecessors[j]])
+        slots = [(k, column[k]) for k in grammar.predecessors[j]]
+        (k1, w1), (k2, w2) = slots + [(j, float("-inf"))] * (2 - len(slots))
+        return j, k1, w1, k2, w2
     # max() skips a NaN unless it comes first; a NaN top only stops pruning
     return j, max([column[k] for k in grammar.closed]), column
 
@@ -285,14 +300,17 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     ``emit[t][j]`` scores label ``j`` at token ``t``, and ``lattice`` is the
     transition lattice ``_lattice`` built for ``grammar``.  The predicate
     token takes ``rel`` and every other token anything but ``rel``.  Raises
-    NoValidPath when no valid sequence has a finite score.
+    NoValidPath when no valid sequence has a finite score.  Scores of -inf
+    or NaN are dead: they never win a comparison.
 
-    A label whose predecessors are the closed labels scans them best score
+    A label whose predecessors are the closed labels takes the best-ranked
+    live closed label as its first candidate, then scans the rest best score
     first and stops at the first ``k`` with ``prev[k] + top < best``: float
     addition rounds monotonically (and int weights, as ``train`` uses, add
     exactly below 2**53), so no later candidate reaches or ties ``best``, and
-    the result is that of a full scan in index order.  Scores of -inf or NaN
-    are dead and left out of the scan.
+    the result is that of a full scan in index order.  With no live closed
+    label these labels stay dead.  An I-x or E-x label compares its two
+    predecessor slots directly; the first wins a tie.
     """
     neg = float("-inf")
     rel = grammar.rel
@@ -314,28 +332,36 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
         # Live closed labels, best score first; the sort is stable, so ties
         # keep ascending index order.
         ranked = [(prev[k], k) for k in closed if prev[k] > neg]
-        ranked.sort(key=_first, reverse=True)
-        for j, top, column in only_rel if at_rel else opening:
-            best, best_k = neg, -1
-            for score, k in ranked:
-                candidate = score + column[k]
-                if candidate > best or (candidate == best and k < best_k):
-                    best, best_k = candidate, k
-                elif score + top < best:
-                    break
-            if best_k >= 0:
-                scores[j] = best + row[j]
-                pointers[j] = best_k
-        if not at_rel:
-            for j, pairs in inner:
-                best, best_k = neg, -1
-                for k, w in pairs:
-                    candidate = prev[k] + w
-                    if candidate > best:
+        if ranked:
+            ranked.sort(key=_first, reverse=True)
+            first, first_k = ranked[0]
+            rest = ranked[1:]
+            for j, top, column in only_rel if at_rel else opening:
+                best, best_k = first + column[first_k], first_k
+                if not best > neg:  # a dead sum: any live candidate replaces it
+                    best = neg
+                for score, k in rest:
+                    candidate = score + column[k]
+                    if candidate > best or (candidate == best and k < best_k):
                         best, best_k = candidate, k
-                if best_k >= 0:
+                    elif score + top < best:
+                        break
+                if best > neg:
                     scores[j] = best + row[j]
                     pointers[j] = best_k
+        if not at_rel:
+            for j, k1, w1, k2, w2 in inner:
+                a = prev[k1] + w1
+                b = prev[k2] + w2
+                if b > a:
+                    scores[j] = b + row[j]
+                    pointers[j] = k2
+                elif a > neg:
+                    scores[j] = a + row[j]
+                    pointers[j] = k1
+                elif b > neg:  # a is NaN
+                    scores[j] = b + row[j]
+                    pointers[j] = k2
         back.append(pointers)
     best, best_j = neg, -1
     for j, can_end in enumerate(grammar.ends):

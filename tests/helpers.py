@@ -23,6 +23,8 @@ from l2srl.model import (
 from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, apply_oracle
 from l2srl.scoring import _aligned, score
 from l2srl.tagger import (
+    PAD_END,
+    PAD_START,
     TaggerModel,
     _can_end,
     _can_follow,
@@ -192,6 +194,64 @@ def brute_force_shared(links, l2_tuples, l1_tuples, coarse):
     matched_l2 = {t for t in l2_tuples if any(linked(t, u) for u in l1_tuples)}
     matched_l1 = {u for u in l1_tuples if any(linked(t, u) for t in l2_tuples)}
     return matched_l2, matched_l1
+
+
+def _distance_bucket(d: int) -> str:
+    if d == 0:
+        return "0"
+    sign = "-" if d < 0 else "+"
+    m = abs(d)
+    if m <= 2:
+        return f"{sign}{m}"
+    if m <= 5:
+        return f"{sign}3-5"
+    return f"{sign}>5"
+
+
+def reference_features(
+    sentence: AnnotatedSentence, predicate_index: int, position: int
+) -> list[str]:
+    """Feature template instantiation for one token position.
+
+    Templates: current/previous/next word, the two word bigrams, predicate
+    word and its neighbors, bucketed signed distance to the predicate, a
+    predicate/side flag, and word x predicate and distance x predicate
+    conjunctions.  Boundary positions use padding symbols.
+    """
+    forms = sentence.forms
+    n = len(forms)
+
+    def word(i: int) -> str:
+        if i < 1:
+            return PAD_START
+        if i > n:
+            return PAD_END
+        return forms[i - 1]
+
+    w0 = word(position)
+    wm1 = word(position - 1)
+    wp1 = word(position + 1)
+    pw = word(predicate_index)
+    d = position - predicate_index
+    bucket = _distance_bucket(d)
+    feats = [
+        f"w0={w0}",
+        f"w-1={wm1}",
+        f"w+1={wp1}",
+        f"w-1|w0={wm1}|{w0}",
+        f"w0|w+1={w0}|{wp1}",
+        f"pw={pw}",
+        f"pw-1={word(predicate_index - 1)}",
+        f"pw+1={word(predicate_index + 1)}",
+        f"dist={bucket}",
+        f"w0&pw={w0}|{pw}",
+        f"dist&pw={bucket}|{pw}",
+    ]
+    if d == 0:
+        feats.append("is_pred")
+    else:
+        feats.append("side=left" if d < 0 else "side=right")
+    return feats
 
 
 def reference_viterbi(labels, emissions, transitions, feats, predicate_pos):

@@ -4,14 +4,17 @@ training, and model persistence."""
 import hashlib
 import random
 import weakref
+from dataclasses import replace
 from operator import mul
 
 import pytest
 
+import helpers
 from helpers import (
     corpus,
     frame,
     random_pred_gold_corpora,
+    reference_features,
     reference_render_model,
     reference_train,
     reference_viterbi,
@@ -27,7 +30,7 @@ from l2srl.errors import (
     ParseError,
     VersionMismatch,
 )
-from l2srl.model import spans_from_tags, tags_from_spans
+from l2srl.model import Frame, Span, spans_from_tags, tags_from_spans
 from l2srl.scoring import score
 from l2srl.tagger import (
     TaggerModel,
@@ -77,6 +80,17 @@ def test_distance_buckets():
     assert "dist=+>5" in extract_features(s, 1, 12)
     assert "dist=-3-5" in extract_features(s, 12, 8)
     assert "dist=->5" in extract_features(s, 12, 1)
+
+
+def test_features_equal_the_reference_at_every_position_and_predicate():
+    """The same list as the closure-based reference, padding and the far
+    distance buckets included, on or past either end of the sentence."""
+    for n in range(5):
+        s = sent("s1", [f"w{i}" for i in range(1, n + 1)])
+        for predicate in range(-1, n + 3):
+            for position in range(-2, n + 4):
+                expected = reference_features(s, predicate, position)
+                assert extract_features(s, predicate, position) == expected
 
 
 def test_zero_model_decodes_all_o_with_forced_rel():
@@ -322,6 +336,97 @@ def test_pruned_decoder_matches_reference_on_parsed_models_with_any_label_order(
         assert parsed.labels == labels and parsed.labels[0] != "O"
         fast, expected = _decode_outcome(parsed, feats, s, pred)
         assert fast == expected, trial
+
+
+def test_inner_labels_outlive_a_token_whose_closed_labels_are_all_dead():
+    """At token ``t`` every closed label (O, rel, S-x, E-x) has a -inf or NaN
+    emission, so at ``t + 1`` no closed predecessor is live: the opening
+    labels are dead there, but an I-x or E-x label still continues a B-x run."""
+    rng = random.Random(5150)
+    nan, inf = float("nan"), float("inf")
+    carried = 0
+    for trial in range(150):
+        labels = build_label_set(rng.sample(TEN_ROLES, rng.randint(1, 4)))
+        model = TaggerModel(labels=labels)
+        n = rng.randint(3, 9)
+        s = sent("s1", [f"w{i}" for i in range(1, n + 1)])  # w0= is one token's
+        pred = rng.randint(1, n)
+        feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
+        _random_weights(rng, model, feats, 0.5, lambda: rng.randint(-2, 2))
+        spots = [t for t in range(n - 1) if pred - 1 not in (t, t + 1)]
+        if not spots:
+            continue
+        t = rng.choice(spots)
+        for lab in labels:
+            if not lab.startswith(("B-", "I-")):
+                model.emissions[(feats[t][0], lab)] = rng.choice((-inf, nan))
+        fast, expected = _decode_outcome(model, feats, s, pred)
+        assert fast == expected, trial
+        if fast is not NoValidPath:
+            assert fast[t + 1].startswith(("I-", "E-")), trial
+            carried += 1
+    assert carried >= 50
+
+
+def test_opening_label_passes_over_a_nan_sum_from_the_best_closed_label():
+    """O -> O weighs NaN, so the best-ranked closed predecessor gives ``O`` a
+    dead sum at the last token; like a full scan, it takes the next one."""
+    model = TaggerModel(build_label_set(("A0",)))
+    s = sent("s1", ["a", "b", "c"])
+    model.emissions[("w0=b", "O")] = 10.0
+    model.emissions[("w0=c", "O")] = 100.0
+    model.transitions[("O", "O")] = float("nan")
+    feats = [extract_features(s, 1, i) for i in range(1, 4)]
+    expected = reference_viterbi(model.labels, model.emissions, model.transitions, feats, 0)
+    assert viterbi_decode(model, s, 1) == expected == ["rel", "S-A0", "O"]
+
+
+def _partial_label_list(rng, roles):
+    """A shuffled label list that ``build_label_set`` never makes: per role,
+    B-x, I-x, both or neither is left out, so its I-x and E-x labels have 0,
+    1 or 2 predecessors.  Also returns each role's longest span the list can
+    still tag (None for no limit)."""
+    labels, longest = ["O", "rel"], {}
+    for role in roles:
+        dropped = rng.choice(("", "B", "I", "BI"))
+        labels.extend(f"{p}-{role}" for p in "SBIE" if p not in dropped)
+        longest[role] = 1 if "B" in dropped else 2 if "I" in dropped else None
+    rng.shuffle(labels)
+    return labels, longest
+
+
+def test_decoder_matches_reference_on_label_lists_not_closed_under_the_grammar():
+    """Inner labels with 0, 1 or 2 predecessors, in any label order, under
+    finite floats, tied small ints, and weights that mix in -inf, inf and NaN."""
+    rng = random.Random(2718)
+    nan, inf = float("nan"), float("inf")
+    pools = ((-1, 0, 1), (-1, 0, 1, 2, nan, inf, -inf))
+    counts = set()
+    for trial in range(240):
+        labels, _ = _partial_label_list(rng, rng.sample(TEN_ROLES, rng.randint(1, 5)))
+        grammar = compile_grammar(tuple(labels))
+        counts.update(len(grammar.predecessors[j]) for j in grammar.inner)
+        model = TaggerModel(labels=labels)
+        n = rng.randint(1, 9)
+        s = sent("s1", [rng.choice("abcdefgh") for _ in range(n)])
+        pred = rng.randint(1, n)
+        feats = [extract_features(s, pred, i) for i in range(1, n + 1)]
+        kind = trial % 3
+        if kind == 0:
+            weight = lambda: rng.uniform(-3, 3)
+        else:
+            weight = lambda pool=pools[kind - 1]: rng.choice(pool)
+        _random_weights(rng, model, feats, rng.choice((0.2, 0.5, 0.9)), weight)
+        fast, expected = _decode_outcome(model, feats, s, pred)
+        assert fast == expected, trial
+    assert counts == {0, 1, 2}
+
+
+def test_decoder_rejects_a_label_list_that_repeats_a_label():
+    """A repeated B-x gives I-x three predecessors, more than its two slots."""
+    model = TaggerModel(["O", "rel", "S-A0", "B-A0", "B-A0", "I-A0", "E-A0"])
+    with pytest.raises(ValueError):
+        viterbi_decode(model, sent("s1", ["a", "b"]), 1)
 
 
 def test_tag_matches_reference_decoder_on_multi_frame_sentences():
@@ -608,6 +713,35 @@ def test_train_matches_reference_averaged_perceptron():
     for c, config in cases:
         model, expected = train(c, config), reference_train(c, config)
         assert model.emissions == expected.emissions
+        assert model.transitions == expected.transitions
+        assert render_model(model) == render_model(expected)
+
+
+def test_train_matches_reference_on_label_lists_not_closed_under_the_grammar(monkeypatch):
+    """Both trainers take the same partial, shuffled label list; gold spans
+    are cut to what that list can tag."""
+    for seed in range(6):
+        rng = random.Random(300 + seed)
+        roles = ("A0", "A1", "AM", "AM-TMP")
+        labels, longest = _partial_label_list(rng, roles)
+        _, gold = random_pred_gold_corpora(rng, 14, labels=roles)
+        sentences = []
+        for s in gold.sentences:
+            frames = []
+            for f in s.frames:
+                spans = []
+                for sp in f.spans:
+                    limit = longest[sp.label]
+                    end = sp.end if limit is None else min(sp.end, sp.start + limit - 1)
+                    spans.append(Span(sp.start, end, sp.label))
+                frames.append(Frame(f.predicate_index, tuple(spans)))
+            sentences.append(replace(s, frames=tuple(frames)))
+        c = corpus(*sentences)
+        for module in (tagger, helpers):
+            monkeypatch.setattr(module, "build_label_set", lambda _, ls=labels: list(ls))
+        config = TrainConfig(epochs=rng.randint(1, 3), seed=seed)
+        model, expected = train(c, config), reference_train(c, config)
+        assert model.labels == labels
         assert model.transitions == expected.transitions
         assert render_model(model) == render_model(expected)
 
