@@ -424,11 +424,8 @@ def pair_corpora(
         if alignment is None:
             problems.append(f"pair {pair_id!r} has no alignment")
             continue
-        bad = [
-            (i, j)
-            for i, j in alignment.links
-            if not (0 <= i < len(s2) and 0 <= j < len(s1))
-        ]
+        n2, n1 = len(s2.forms), len(s1.forms)
+        bad = [(i, j) for i, j in alignment.links if not (0 <= i < n2 and 0 <= j < n1)]
         if bad:
             problems.append(f"pair {pair_id!r} alignment link {min(bad)} out of range")
             continue

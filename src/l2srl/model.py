@@ -204,7 +204,7 @@ def spans_from_tags(tags) -> Frame:
             if position == "B":
                 run_label, run_start = label, pos
             elif position == "S":
-                spans.append(Span(pos, pos, label))
+                spans.append(tuple.__new__(Span, (pos, pos, label)))
             elif position is None:  # rel, as O is handled above
                 if predicate is not None:
                     fail(pos, "more than one 'rel' tag")
@@ -215,7 +215,7 @@ def spans_from_tags(tags) -> Frame:
             if label != run_label:
                 fail(pos, f"label {label} disagrees with open run B-{run_label}")
             if position == "E":
-                spans.append(Span(run_start, pos, run_label))
+                spans.append(tuple.__new__(Span, (run_start, pos, run_label)))
                 run_label = None
         else:
             fail(pos, f"run B-{run_label} not closed before {tag!r}")

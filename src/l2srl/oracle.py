@@ -18,19 +18,20 @@ non-decreasing F.  When the gold holds at least one span, F ends at 100 once
 everything has been dropped or added; on span-free gold every stage scores
 F 0 and closes none of the gap, as the scorer reads 0/0 as 0.
 
-The sequence is scored a frame at a time on the scorer's own frame pairs and
-per-label counts: gold labels are counted once, and a changed frame's old
-predicted and matched labels are taken out and its new ones put in, so every
-report equals a full rescore of the corpus.  A transform that changes
-nothing returns the frame it was given.
+The sequence is scored on the scorer's own frame pairs and per-label counts.
+Gold labels are counted once.  A transform that changes nothing returns the
+frame it was given, so each stage knows the frames it changed; it counts
+them with the scorer's ``_counts`` as they were and as they are now, and
+takes the first predicted and matched counts out and puts the second in.
+Every report thus equals a full rescore of the corpus.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 from l2srl.corpus import Corpus
-from l2srl.model import CORE_LABELS, Frame, Span, spans_overlap
-from l2srl.scoring import ScoreReport, _aligned, _counts, _frame_pairs, _report, _tally
+from l2srl.model import CORE_LABELS, Frame, Span
+from l2srl.scoring import ScoreReport, _aligned, _counts, _frame_pairs, _report
 
 ORACLE_SEQUENCE = ("fix", "move", "merge", "split", "boundary", "drop", "add")
 
@@ -52,9 +53,13 @@ class OracleStage:
 
 
 def _fits(span: Span, others, predicate_index: int) -> bool:
-    if span.covers(predicate_index):
+    start, end, _ = span
+    if start <= predicate_index <= end:
         return False
-    return not any(spans_overlap(span, other) for other in others)
+    for s, e, _ in others:
+        if start <= e and s <= end:
+            return False
+    return True
 
 
 def _without(spans, *removed) -> list[Span]:
@@ -68,21 +73,34 @@ def _reframed(pred: Frame, spans) -> Frame:
 
 
 def _fix(pred: Frame, gold: Frame) -> Frame:
-    by_bounds = {(g.start, g.end): g.label for g in gold.spans}
-    new = tuple(Span(s, e, by_bounds.get((s, e), label)) for s, e, label in pred.spans)
+    # A Span equals its (start, end, label) triple, so a relabelled span is
+    # the gold span with its bounds.
+    by_bounds = {(g.start, g.end): g for g in gold.spans}
+    new = tuple([by_bounds.get((s.start, s.end), s) for s in pred.spans])
     return pred if new == pred.spans else Frame(pred.predicate_index, new)
 
 
+def _singles(spans) -> dict:
+    """Each label's only span, or None for a label with more than one."""
+    found = {}
+    for span in spans:
+        label = span[2]
+        found[label] = None if label in found else span
+    return found
+
+
 def _move(pred: Frame, gold: Frame) -> Frame:
+    # A move swaps one label's only span for another of the same label, so
+    # every other label keeps the spans it has in pred.
+    mine, theirs = _singles(pred.spans), _singles(gold.spans)
     spans = pred.spans
     for label in CORE_LABELS:
-        mine = [s for s in spans if s.label == label]
-        theirs = [g for g in gold.spans if g.label == label]
-        if len(mine) != 1 or len(theirs) != 1 or mine[0] == theirs[0]:
+        old, new = mine.get(label), theirs.get(label)
+        if old is None or new is None or old == new:
             continue
-        rest = _without(spans, mine[0])
-        if _fits(theirs[0], rest, pred.predicate_index):
-            spans = rest + [theirs[0]]
+        rest = [s for s in spans if s is not old]
+        if _fits(new, rest, pred.predicate_index):
+            spans = rest + [new]
     return _reframed(pred, spans)
 
 
@@ -111,6 +129,8 @@ def _split(pred: Frame, gold: Frame) -> Frame:
     # Only a span whose extent two gold spans with a gap of 0-1 tile can
     # split; on a frame with none, this returns pred at once.
     tiles = [(g1, g2) for g1, g2 in combinations(gold.spans, 2) if 0 < g2.start - g1.end < 3]
+    if not tiles:
+        return pred
     extents = {(g1.start, g2.end) for g1, g2 in tiles}
     spans = pred.spans
     while True:
@@ -130,27 +150,24 @@ def _split(pred: Frame, gold: Frame) -> Frame:
 
 
 def _boundary(pred: Frame, gold: Frame) -> Frame:
+    # Each span of pred is still in spans at its turn: a gold span snapped
+    # in fits beside the spans not yet visited, so it replaced none of them.
     spans = pred.spans
     for s in pred.spans:
-        if s not in spans:
-            continue
-        candidates = [
-            g
-            for g in gold.spans
-            if g.label == s.label
-            and spans_overlap(s, g)
-            and (g.start, g.end) != (s.start, s.end)
-        ]
-        if not candidates:
-            continue
-
-        def overlap_size(g):
-            return min(s.end, g.end) - max(s.start, g.start) + 1
-
-        best = sorted(candidates, key=lambda g: (-overlap_size(g), g.start))[0]
-        rest = _without(spans, s)
-        if _fits(best, rest, pred.predicate_index):
-            spans = rest + [best]
+        start, end, label = s
+        # The same-label gold span overlapping s with other bounds: largest
+        # overlap (smallest rank) first, then smallest start, then the first.
+        best = None
+        for g in gold.spans:
+            gs, ge, gl = g
+            if gl == label and gs <= end and start <= ge and (gs != start or ge != end):
+                rank = max(start, gs) - min(end, ge)
+                if best is None or rank < best_rank or rank == best_rank and gs < best[0]:
+                    best, best_rank = g, rank
+        if best is not None:
+            rest = [t for t in spans if t is not s]
+            if _fits(best, rest, pred.predicate_index):
+                spans = rest + [best]
     return _reframed(pred, spans)
 
 
@@ -165,8 +182,12 @@ def _drop(pred: Frame, gold: Frame) -> Frame:
 def _add(pred: Frame, gold: Frame) -> Frame:
     spans = pred.spans
     for g in gold.spans:
-        if not any(spans_overlap(g, s) for s in spans):
-            spans = spans + (g,)
+        gs, ge, _ = g
+        for s, e, _ in spans:
+            if gs <= e and s <= ge:
+                break
+        else:
+            spans += (g,)
     return _reframed(pred, spans)
 
 
@@ -212,12 +233,20 @@ def oracle_sequence(
         # A frame equal to its gold frame is a fixed point of every
         # transform, as valid gold spans never overlap.
         pairs = [pair for pair in pairs if pair[0].spans != pair[1].spans]
+        before, after = [], []
         for pair in pairs:
-            new = transform(*pair)
-            if new is not pair[0]:
-                _tally(predicted, matched, pair, am_coarse, -1)
+            old, truth = pair
+            new = transform(old, truth)
+            if new is not old:
+                before.append((old, truth))
+                after.append((new, truth))
                 pair[0] = new
-                _tally(predicted, matched, pair, am_coarse)
+        _, old_predicted, old_matched = _counts(before, am_coarse)
+        _, new_predicted, new_matched = _counts(after, am_coarse)
+        predicted.subtract(old_predicted)
+        predicted.update(new_predicted)
+        matched.subtract(old_matched)
+        matched.update(new_matched)
         report = _report(golds, predicted, matched)
         stages.append(OracleStage(kind, report, f_before))
         f_before = report.f1

@@ -90,10 +90,6 @@ class ConfusionMatrix:
 
     counts: dict = field(default_factory=dict)
 
-    def bump(self, gold_label: str, pred_label: str) -> None:
-        key = (gold_label, pred_label)
-        self.counts[key] = self.counts.get(key, 0) + 1
-
     @property
     def total(self) -> int:
         return sum(self.counts.values())
@@ -153,16 +149,6 @@ def _counts(frame_pairs, am_coarse: bool) -> tuple[Counter, Counter, Counter]:
         predicted += [t[2] for t in pt]
         matched += [t[2] for t in pt & gt]
     return Counter(golds), Counter(predicted), Counter(matched)
-
-
-def _tally(predicted: Counter, matched: Counter, pair, am_coarse: bool, sign: int = 1) -> None:
-    """Add one frame pair's predicted and matched labels, or take them out
-    with sign=-1."""
-    truth = _frame_triples(pair[1], am_coarse)
-    for triple in _frame_triples(pair[0], am_coarse):
-        predicted[triple[2]] += sign
-        if triple in truth:
-            matched[triple[2]] += sign
 
 
 def _report(golds: Counter, predicted: Counter, matched: Counter) -> ScoreReport:
@@ -246,22 +232,31 @@ def confusion_matrix(pred: Corpus, gold: Corpus, am_coarse: bool = False) -> Con
     span per extent, no count depends on the order spans are visited in.
     """
     matrix = ConfusionMatrix()
+    counts = matrix.counts
     for pred_frame, gold_frame in _frame_pairs(_aligned(pred, gold)):
         pt = _frame_triples(pred_frame, am_coarse)
         gt = _frame_triples(gold_frame, am_coarse)
         gold_bounds = {(s, e): lab for s, e, lab in gt}
-        pred_bounds = {(s, e) for s, e, _ in pt}
         for s, e, lab in pt:
-            exact = gold_bounds.get((s, e))
-            if exact is not None:
-                matrix.bump(exact, lab)
-            elif not any(s <= ge and gs <= e for gs, ge, _ in gt):
-                matrix.bump("O", lab)
+            truth = gold_bounds.get((s, e))
+            if truth is None:
+                for gs, ge, _ in gt:
+                    if s <= ge and gs <= e:
+                        break  # overlaps a gold span: not counted
+                else:
+                    truth = "O"
+            if truth is not None:
+                key = truth, lab
+                counts[key] = counts.get(key, 0) + 1
+        # A gold span whose bounds a predicted span shares overlaps it, so
+        # it counts once: as the boundary match above.
         for s, e, lab in gt:
-            if (s, e) in pred_bounds:
-                continue  # counted as a boundary match above
-            if not any(s <= pe and ps <= e for ps, pe, _ in pt):
-                matrix.bump(lab, "O")
+            for ps, pe, _ in pt:
+                if s <= pe and ps <= e:
+                    break
+            else:
+                key = lab, "O"
+                counts[key] = counts.get(key, 0) + 1
     return matrix
 
 

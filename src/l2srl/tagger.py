@@ -249,7 +249,15 @@ class Grammar(NamedTuple):
 
 @lru_cache(maxsize=16)
 def compile_grammar(labels: tuple) -> Grammar:
-    """Compile the tag grammar of ``labels`` from the reference predicates."""
+    """Compile the tag grammar of ``labels`` from the reference predicates.
+
+    Raises ValueError for a list that repeats a label or has no ``rel``.
+    """
+    if len(set(labels)) != len(labels):
+        repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+        raise ValueError(f"label list repeats {', '.join(repeated)}")
+    if REL_TAG not in labels:
+        raise ValueError(f"label list has no {REL_TAG!r} label")
     indices = range(len(labels))
     rel = labels.index(REL_TAG)
     predecessors = tuple(
@@ -275,7 +283,7 @@ def _entry(grammar: Grammar, j: int, column) -> tuple:
     other label gets ``(j, k1, w1, k2, w2)``: its predecessors ``k1 < k2``
     with their weights.  A label with fewer than two predecessors (in a label
     list not closed under the grammar) is padded with a dead ``(j, -inf)``
-    slot; one with more (a list repeating a label) raises ValueError.
+    slot.  None has more, as ``compile_grammar`` rejects repeated labels.
     """
     if j in grammar.inner:
         slots = [(k, column[k]) for k in grammar.predecessors[j]]

@@ -7,20 +7,23 @@ full enumeration) and independent of the library code paths they check.
 import random
 from dataclasses import replace
 from functools import reduce
+from itertools import combinations
 from operator import add
 
 from l2srl.corpus import Corpus, SentencePair
 from l2srl.errors import NoValidPath
 from l2srl.model import (
+    CORE_LABELS,
     REL_TAG,
     Alignment,
     AnnotatedSentence,
     Frame,
     Span,
     spans_from_tags,
+    spans_overlap,
     tags_from_spans,
 )
-from l2srl.oracle import ORACLE_SEQUENCE, OracleStage, apply_oracle
+from l2srl.oracle import ORACLE_SEQUENCE, OracleStage
 from l2srl.scoring import _aligned, score
 from l2srl.tagger import (
     PAD_END,
@@ -402,9 +405,145 @@ def _with_empty_counterparts(pred_s, gold_s):
     return replace(pred_s, frames=frames)
 
 
+def _fits(span, others, predicate_index):
+    if span.covers(predicate_index):
+        return False
+    return not any(spans_overlap(span, other) for other in others)
+
+
+def _without(spans, *removed):
+    gone = set(removed)
+    return [s for s in spans if s not in gone]
+
+
+def _reframed(pred, spans):
+    return pred if spans is pred.spans else Frame(pred.predicate_index, tuple(spans))
+
+
+def _ref_fix(pred, gold):
+    by_bounds = {(g.start, g.end): g.label for g in gold.spans}
+    new = tuple(Span(s, e, by_bounds.get((s, e), label)) for s, e, label in pred.spans)
+    return pred if new == pred.spans else Frame(pred.predicate_index, new)
+
+
+def _ref_move(pred, gold):
+    spans = pred.spans
+    for label in CORE_LABELS:
+        mine = [s for s in spans if s.label == label]
+        theirs = [g for g in gold.spans if g.label == label]
+        if len(mine) != 1 or len(theirs) != 1 or mine[0] == theirs[0]:
+            continue
+        rest = _without(spans, mine[0])
+        if _fits(theirs[0], rest, pred.predicate_index):
+            spans = rest + [theirs[0]]
+    return _reframed(pred, spans)
+
+
+def _ref_merge(pred, gold):
+    extents = {(g.start, g.end) for g in gold.spans}
+    spans = pred.spans
+    while True:
+        # Only sorted pairs with a gap of 0-1 that join into a gold extent
+        # can merge; on a frame with none, this returns pred at once.
+        joins = [(a, b) for a, b in combinations(sorted(spans), 2)
+                 if 0 < b.start - a.end < 3 and (a.start, b.end) in extents]
+        merged = next((
+            rest + [g]
+            for g in gold.spans
+            for a, b in joins
+            if (a.start, b.end) == (g.start, g.end)
+            for rest in [_without(spans, a, b)]
+            if _fits(g, rest, pred.predicate_index)
+        ), None)
+        if merged is None:
+            return _reframed(pred, spans)
+        spans = merged
+
+
+def _ref_split(pred, gold):
+    # Only a span whose extent two gold spans with a gap of 0-1 tile can
+    # split; on a frame with none, this returns pred at once.
+    tiles = [(g1, g2) for g1, g2 in combinations(gold.spans, 2) if 0 < g2.start - g1.end < 3]
+    extents = {(g1.start, g2.end) for g1, g2 in tiles}
+    spans = pred.spans
+    while True:
+        split = next((
+            rest + [g1, g2]
+            for s in sorted(spans)
+            if (s.start, s.end) in extents
+            for g1, g2 in tiles
+            if (g1.start, g2.end) == (s.start, s.end)
+            for rest in [_without(spans, s)]
+            if _fits(g1, rest, pred.predicate_index)
+            and _fits(g2, rest + [g1], pred.predicate_index)
+        ), None)
+        if split is None:
+            return _reframed(pred, spans)
+        spans = split
+
+
+def _ref_boundary(pred, gold):
+    spans = pred.spans
+    for s in pred.spans:
+        if s not in spans:
+            continue
+        candidates = [
+            g
+            for g in gold.spans
+            if g.label == s.label
+            and spans_overlap(s, g)
+            and (g.start, g.end) != (s.start, s.end)
+        ]
+        if not candidates:
+            continue
+
+        def overlap_size(g):
+            return min(s.end, g.end) - max(s.start, g.start) + 1
+
+        best = sorted(candidates, key=lambda g: (-overlap_size(g), g.start))[0]
+        rest = _without(spans, s)
+        if _fits(best, rest, pred.predicate_index):
+            spans = rest + [best]
+    return _reframed(pred, spans)
+
+
+def _ref_drop(pred, gold):
+    # Keeping only exact matches (rather than anything overlapping gold)
+    # guarantees the add stage can complete the frame.
+    keep = set(gold.spans)
+    kept = tuple(s for s in pred.spans if s in keep)
+    return pred if len(kept) == len(pred.spans) else Frame(pred.predicate_index, kept)
+
+
+def _ref_add(pred, gold):
+    spans = pred.spans
+    for g in gold.spans:
+        if not any(spans_overlap(g, s) for s in spans):
+            spans = spans + (g,)
+    return _reframed(pred, spans)
+
+
+_REFERENCE_TRANSFORMS = {
+    "fix": _ref_fix,
+    "move": _ref_move,
+    "merge": _ref_merge,
+    "split": _ref_split,
+    "boundary": _ref_boundary,
+    "drop": _ref_drop,
+    "add": _ref_add,
+}
+
+
+def reference_apply_oracle(pred, gold, kind):
+    """One oracle transform as first written: per-span overlap checks, new
+    Spans on every relabel, and a sorted candidate list in boundary.  Like
+    ``apply_oracle`` it returns ``pred`` itself when nothing changes."""
+    return _REFERENCE_TRANSFORMS[kind](pred, gold)
+
+
 def reference_oracle_sequence(pred, gold, am_coarse=False):
-    """Full-rescore oracle: apply each transform to every frame, then score
-    the whole corpus again after every stage."""
+    """Full-rescore oracle: apply each reference transform to every frame,
+    then score the whole corpus again after every stage."""
     sentences = []
     gold_frames_by_id = {}
     for pred_s, gold_s in _aligned(pred, gold):
@@ -419,7 +558,9 @@ def reference_oracle_sequence(pred, gold, am_coarse=False):
         for s in current.sentences:
             gold_frames = gold_frames_by_id[s.id]
             frames = tuple(
-                apply_oracle(f, gold_frames.get(f.predicate_index, Frame(f.predicate_index)), kind)
+                reference_apply_oracle(
+                    f, gold_frames.get(f.predicate_index, Frame(f.predicate_index)), kind
+                )
                 for f in s.frames
             )
             transformed.append(replace(s, frames=frames))

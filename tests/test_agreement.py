@@ -237,6 +237,13 @@ def test_selection_threshold_strictly_greater():
     assert not is_selected(PairRecall(0, 10, 0, 10), config)  # ineligible
 
 
+def test_selection_needs_each_side_above_the_threshold():
+    config = SelectionConfig(p=0.5)
+    assert is_selected(PairRecall(10, 10, 6, 6), config)
+    assert not is_selected(PairRecall(10, 10, 5, 6), config)  # L2 recall exactly p
+    assert not is_selected(PairRecall(10, 10, 6, 5), config)  # L1 recall exactly p
+
+
 def test_selection_order_and_monotonicity():
     recalls = [
         PairRecall(10, 10, 10, 10),

@@ -271,6 +271,22 @@ def test_pair_corpora_checks_alignment_bounds():
     assert any("out of range" in p for p in err.value.problems)
 
 
+def test_pair_corpora_checks_each_link_side_against_its_own_sentence():
+    """L2 indices run below len(L2) and L1 indices below len(L1); a link
+    just past either end fails alone, with the other index in range."""
+    l2 = sent("a", ["x", "y", "z"], side="L2", pair="p")
+    l1 = sent("b", ["u", "v", "w", "q", "r"], side="L1", pair="p")
+
+    def pairing(*links):
+        return pair_corpora(corpus(l2), corpus(l1), {"p": Alignment("p", frozenset(links))})
+
+    assert len(pairing((0, 0), (2, 4))) == 1
+    for link in ((len(l2), 0), (0, len(l1)), (-1, 0), (0, -1)):
+        with pytest.raises(PairingError) as err:
+            pairing(link)
+        assert err.value.problems == [f"pair 'p' alignment link {link} out of range"]
+
+
 def test_pair_corpora_missing_alignment():
     l2, l1, aligns = _pairable(2)
     del aligns["p0"]

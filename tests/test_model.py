@@ -43,6 +43,9 @@ def test_decode_requires_exactly_one_rel():
 def test_decode_run_then_singleton():
     decoded = spans_from_tags(["B-A0", "I-A0", "E-A0", "rel", "S-AM"])
     assert decoded == frame(4, (1, 3, "A0"), (5, 5, "AM"))
+    assert type(decoded) is Frame
+    assert [type(s) for s in decoded.spans] == [Span, Span]
+    assert [s.label for s in decoded.spans] == ["A0", "AM"]
 
 
 STRICT_REJECTS = [

@@ -9,6 +9,7 @@ from helpers import (
     frame,
     random_frame,
     random_pred_gold_corpora,
+    reference_apply_oracle,
     reference_oracle_sequence,
     sent,
 )
@@ -362,6 +363,51 @@ def _near_gold(rng, gold, n):
         start = rng.randint(1, n)
         spans.append(Span(start, min(n, start + rng.randint(0, 2)), rng.choice(LABELS)))
     return Frame(gold.predicate_index, tuple(spans))
+
+
+def _rough_frame(rng, n, predicate):
+    """A frame that parsing would reject: its spans may overlap each other,
+    cover the predicate, or share their bounds or their start."""
+    spans = []
+    for _ in range(rng.randint(0, 5)):
+        start = rng.randint(1, n)
+        end = min(n, start + rng.randint(0, 3))
+        label = rng.choice(LABELS)
+        spans.append(Span(start, end, label))
+        if rng.random() < 0.3:  # a twin from the same start, often of the same label
+            twin_end = min(n, end + rng.randint(0, 1))
+            spans.append(Span(start, twin_end, rng.choice((label, rng.choice(LABELS)))))
+    return Frame(predicate, spans)
+
+
+def test_transforms_equal_the_reference_transforms():
+    """Each transform, applied alone and along the sequence, returns the
+    reference's frame, and returns pred itself exactly when it does."""
+    rng = random.Random(53)
+    kept = 0
+    for trial in range(20000):
+        n = rng.randint(1, 12)
+        predicate = rng.randint(1, n)
+        if rng.random() < 0.6:
+            gold = random_frame(rng, n, predicate, LABELS)
+        else:
+            gold = _rough_frame(rng, n, predicate)
+        r = rng.random()
+        if r < 0.4:
+            pred = _near_gold(rng, gold, n)
+        elif r < 0.7:
+            pred = random_frame(rng, n, predicate, LABELS)
+        else:
+            pred = _rough_frame(rng, n, predicate)
+        for kind in ORACLE_SEQUENCE:
+            want = reference_apply_oracle(pred, gold, kind)
+            got = apply_oracle(pred, gold, kind)
+            assert got == want, (trial, kind)
+            assert type(got) is Frame and {type(s) for s in got.spans} <= {Span}
+            assert (got is pred) == (want is pred), (trial, kind)
+            kept += want is pred
+            pred = want
+    assert kept > 50000
 
 
 def _random_oracle_corpora(rng):

@@ -423,10 +423,31 @@ def test_decoder_matches_reference_on_label_lists_not_closed_under_the_grammar()
 
 
 def test_decoder_rejects_a_label_list_that_repeats_a_label():
-    """A repeated B-x gives I-x three predecessors, more than its two slots."""
+    """A repeated B-x would give I-x three predecessors, more than its two
+    slots; the grammar rejects the list before any lattice is built."""
     model = TaggerModel(["O", "rel", "S-A0", "B-A0", "B-A0", "I-A0", "E-A0"])
     with pytest.raises(ValueError):
         viterbi_decode(model, sent("s1", ["a", "b"]), 1)
+
+
+def test_grammar_rejects_a_repeated_label_or_a_missing_rel():
+    """A code-built model that repeats any label, rel, O and S-x included,
+    fails with a plain message before it decodes, not with an ill-formed
+    decode later; so does one without rel."""
+    for labels in (
+        ["O", "rel", "rel", "S-A0", "B-A0", "I-A0", "E-A0"],
+        ["O", "O", "rel", "S-A0", "B-A0", "I-A0", "E-A0"],
+        ["O", "rel", "S-A0", "B-A0", "I-A0", "E-A0", "S-A0"],
+    ):
+        with pytest.raises(ValueError, match="^label list repeats "):
+            compile_grammar(tuple(labels))
+        model = TaggerModel(labels)
+        with pytest.raises(ValueError, match="^label list repeats "):
+            viterbi_decode(model, sent("s1", ["a", "b", "c"]), 1)
+        with pytest.raises(ValueError, match="^label list repeats "):
+            tag(model, sent("s1", ["a", "b", "c"]), [2])
+    with pytest.raises(ValueError, match="^label list has no 'rel' label$"):
+        compile_grammar(("O", "S-A0", "B-A0", "I-A0", "E-A0"))
 
 
 def test_tag_matches_reference_decoder_on_multi_frame_sentences():
