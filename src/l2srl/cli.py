@@ -10,14 +10,7 @@ import os
 import sys
 
 from l2srl import agreement, oracle, pipeline, scoring, tagger
-from l2srl.corpus import (
-    load_alignments,
-    load_corpus,
-    pair_corpora,
-    save_alignments,
-    save_corpus,
-    write_atomic,
-)
+from l2srl.corpus import load_corpus, save_alignments, save_corpus, write_atomic
 from l2srl.errors import (
     MismatchedCorpora,
     MissingMetadata,
@@ -193,7 +186,7 @@ def cmd_tuples(args) -> int:
 def cmd_align(args) -> int:
     l2 = load_corpus(args.l2)
     l1 = load_corpus(args.l1)
-    pairs = pair_corpora(l2, l1, pipeline.heuristic_alignments(l2, l1))
+    pairs = pipeline.pool_pairs(l2, l1, "heuristic")
     save_alignments({p.alignment.pair_id: p.alignment for p in pairs}, args.output)
     print(f"wrote {len(pairs)} alignments to {args.output}")
     return 0
@@ -202,11 +195,7 @@ def cmd_align(args) -> int:
 def cmd_select(args) -> int:
     l2 = load_corpus(args.l2)
     l1 = load_corpus(args.l1)
-    if args.align == "heuristic":
-        alignments = pipeline.heuristic_alignments(l2, l1)
-    else:
-        alignments = load_alignments(args.align)
-    pairs = pair_corpora(l2, l1, alignments)
+    pairs = pipeline.pool_pairs(l2, l1, args.align)
     # tuple matching is always coarse here (AM-TMP == AM)
     _, chosen = pipeline.select_pairs(pairs, args.threshold, True, args.out or ".")
     ratio = len(chosen) / len(pairs) if pairs else 0.0

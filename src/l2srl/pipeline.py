@@ -11,7 +11,7 @@ runs can be inspected.  Given one config the whole loop is deterministic.
 
 import os
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from l2srl.agreement import (
     SelectionConfig,
@@ -185,9 +185,7 @@ class RetrainReport:
             f"selected {self.selected}  (p > {self.threshold})"
         ]
         deltas = self.deltas()
-        for split in EVAL_SPLITS:
-            if split not in self.baseline:
-                continue
+        for split in self.baseline:
             base, new = self.baseline[split], self.retrained[split]
             lines.append(
                 f"{split:<8} baseline F {fmt2(base.f1):>6}   retrained F {fmt2(new.f1):>6}"
@@ -209,18 +207,19 @@ class RetrainReport:
         return "\n".join("\t".join(r) for r in rows) + "\n"
 
 
-def heuristic_alignments(l2: Corpus, l1: Corpus) -> dict:
-    """Heuristic alignment of every pair id with a sentence on both sides,
-    keyed by pair id.  It aligns the sentences that ``pair_corpora`` pairs,
-    and leaves their problems to it to report."""
-    l2_by_pair = sentences_by_pair(l2, "L2", [])
+def pool_pairs(l2: Corpus, l1: Corpus, alignments: str) -> list:
+    """``pair_corpora`` over the links in the file ``alignments``, or for
+    ``"heuristic"`` over ``heuristic_align``'s links of the sentences that
+    ``pair_corpora`` pairs, leaving their problems to it to report."""
+    if alignments != "heuristic":
+        return pair_corpora(l2, l1, load_alignments(alignments))
     l1_by_pair = sentences_by_pair(l1, "L1", [])
-    out = {}
-    for pair_id, s2 in l2_by_pair.items():
-        s1 = l1_by_pair.get(pair_id)
-        if s1 is not None:
-            out[pair_id] = heuristic_align(s2, s1)
-    return out
+    links = {
+        pair_id: heuristic_align(s2, l1_by_pair[pair_id])
+        for pair_id, s2 in sentences_by_pair(l2, "L2", []).items()
+        if pair_id in l1_by_pair
+    }
+    return pair_corpora(l2, l1, links)
 
 
 def select_pairs(pairs, p: float, am_coarse: bool, outdir):
@@ -265,17 +264,12 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
     base_corpus = load_corpus(config.train)
     pool_l2 = load_corpus(config.pool_l2)
     pool_l1 = load_corpus(config.pool_l1)
-    alignments = None
-    if config.alignments != "heuristic":
-        alignments = load_alignments(config.alignments)
     eval_corpora = {split: load_corpus(getattr(config, split)) for split in EVAL_SPLITS}
     sides = [side for side in ("l1", "l2") if config.extend_with in (side, "both")]
     pool = {"l1": pool_l1, "l2": pool_l2}
     _check_ids(base_corpus, [s for side in sides for s in pool[side]])
     # Alignment and pairing read only ids, sides and forms, which tagging keeps.
-    if alignments is None:
-        alignments = heuristic_alignments(pool_l2, pool_l1)
-    pairs = pair_corpora(pool_l2, pool_l1, alignments)
+    pairs = pool_pairs(pool_l2, pool_l1, config.alignments)
 
     baseline_dir = os.path.join(out, "baseline")
     os.makedirs(baseline_dir, exist_ok=True)
@@ -289,12 +283,7 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
         pool_l1 = tag_corpus(baseline_model, pool_l1)
         save_corpus(pool_l2, os.path.join(pool_dir, "pool_l2_tagged.tsv"))
         save_corpus(pool_l1, os.path.join(pool_dir, "pool_l1_tagged.tsv"))
-        l2_by_pair = {s.pair_id: s for s in pool_l2.sentences}
-        l1_by_pair = {s.pair_id: s for s in pool_l1.sentences}
-        pairs = [
-            replace(pair, l2=l2_by_pair[pair.l2.pair_id], l1=l1_by_pair[pair.l1.pair_id])
-            for pair in pairs
-        ]
+        pairs = pair_corpora(pool_l2, pool_l1, {p.alignment.pair_id: p.alignment for p in pairs})
 
     recalls, chosen = select_pairs(
         pairs, config.p, config.am_coarse, os.path.join(out, "selection")

@@ -11,12 +11,12 @@ seed; per-epoch shuffling uses a private RNG.
 
 import math
 import random
-import sys
+import struct
 from collections import defaultdict
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, is_, itemgetter
 from typing import NamedTuple
 
@@ -466,15 +466,14 @@ def _training_sequences(corpus: Corpus, index: dict):
 def _lanes(size: int):
     """``(lane, unpack)`` for ``size`` signed 64-bit lanes in one int: ``lane[j]``
     is label ``j``'s unit and ``unpack`` reads a sum of lane multiples back as
-    a list.  The bias makes every lane non-negative without carries and the XOR
-    restores two's complement; ``cast`` reads host byte order, so a big-endian
-    host keeps label 0 in the top lane."""
-    lane = [1 << 64 * j for j in range(size)][:: 1 if sys.byteorder == "little" else -1]
+    a tuple.  The bias makes every lane non-negative without carries and the
+    XOR restores two's complement."""
+    lane = [1 << 64 * j for j in range(size)]
     bias = sum(lane) << 63
+    read = struct.Struct(f"<{size}q").unpack
 
-    def unpack(x: int) -> list:
-        data = ((x + bias) ^ bias).to_bytes(8 * size, sys.byteorder)
-        return memoryview(data).cast("q").tolist()
+    def unpack(x: int) -> tuple:
+        return read(((x + bias) ^ bias).to_bytes(8 * size, "little"))
 
     return lane, unpack
 
@@ -587,14 +586,12 @@ def render_model(model: TaggerModel) -> bytes:
     labels = model.labels
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", "\t".join(labels)]
     by_name = sorted(range(len(labels)), key=labels.__getitem__)
-    weights = {*chain.from_iterable(model.rows.values()), *model.transitions.values()}
-    texts = {w: repr(float(w)) for w in weights}  # equal weights render equally
     for f in sorted(model.rows):
         row, prefix = model.rows[f], f"E\t{f}\t"
-        lines.extend(f"{prefix}{labels[j]}\t{texts[row[j]]}" for j in by_name if row[j])
+        lines.extend(f"{prefix}{labels[j]}\t{float(row[j])!r}" for j in by_name if row[j])
     for a, b in sorted(model.transitions):
         if w := model.transitions[(a, b)]:
-            lines.append(f"T\t{a}\t{b}\t{texts[w]}")
+            lines.append(f"T\t{a}\t{b}\t{float(w)!r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -336,6 +336,60 @@ def test_retrain_matches_a_replay_through_the_references(tmp_path, monkeypatch, 
         assert all(0 < split["f1"] < 100 for split in report[model].values())
 
 
+def test_retrain_with_an_alignment_file_matches_the_heuristic_run(tmp_path, capsys):
+    fix = tmp_path / "fix"
+    config = build_retrain_fixture(fix, pool_pairs=8, good_pairs=3)
+    text = config.read_text().replace("tag_pool = false", "tag_pool = true")
+    text = text.replace("epochs = 10", "epochs = 3")
+    links = fix / "pool.align"
+    assert main(["align", str(fix / "pool_l2.tsv"), str(fix / "pool_l1.tsv"), str(links)]) == 0
+    runs = {}
+    for name, source in (("heuristic", "heuristic"), ("file", str(links))):
+        config.write_text(text.replace("alignments = heuristic", f"alignments = {source}"))
+        out = tmp_path / name
+        assert main(["retrain", "--config", str(config), "--out", str(out)]) == 0
+        runs[name] = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+    capsys.readouterr()
+    assert len(runs["heuristic"]) == 11
+    assert runs["file"] == runs["heuristic"]
+
+
+def test_retrain_rejects_malformed_alignment_file_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    links = tmp_path / "fix" / "pool.align"
+    links.write_text("pool0\t0-0\npool1\t0-x\n", encoding="utf-8")
+    config.write_text(config.read_text().replace("alignments = heuristic", f"alignments = {links}"))
+    calls = _count_train_calls(monkeypatch)
+    assert main(["retrain", "--config", str(config)]) == 2
+    assert "line 2: malformed link '0-x'" in capsys.readouterr().err
+    assert calls == []
+
+
+# Line 11 of build_retrain_fixture's config is "seed = 1".
+@pytest.mark.parametrize("old,new,message", [
+    ("p = 0.9", "p = 1.5", "threshold p must be in [0, 1], got 1.5"),
+    ("p = 0.9", "p = 0.9\nextend_with = l3", "extend_with must be l1, l2, or both, got 'l3'"),
+    ("epochs = 10", "epochs = 0", "epochs must be >= 1, got 0"),
+    ("dev = dev.tsv\n", "", "config key 'dev' is required"),
+    ("train = train.tsv", "train = missing.tsv", "path does not exist: "),
+    ("seed = 1", "seed 1", "line 11: expected 'key = value', got 'seed 1'"),
+    ("seed = 1", "seed = 1\nseed = 2", "line 12: duplicate config key 'seed'"),
+], ids=["p", "extend_with", "epochs", "required", "path", "no-equals", "duplicate"])
+def test_retrain_rejects_bad_config_before_training(
+    tmp_path, monkeypatch, capsys, old, new, message
+):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    config.write_text(config.read_text().replace(old, new, 1))
+    calls = _count_train_calls(monkeypatch)
+    assert main(["retrain", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 def test_retrain_unknown_config_key_exit_2(tmp_path):
     config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
     config.write_text(config.read_text() + "mystery = 1\n")

@@ -22,7 +22,7 @@ from l2srl.corpus import (
 )
 from l2srl.errors import InsufficientData, PairingError, ParseError
 from l2srl.model import Alignment, AnnotatedSentence, Token
-from l2srl.pipeline import heuristic_alignments
+from l2srl.pipeline import pool_pairs
 
 MINIMAL = (
     b"# id = s1\n"
@@ -202,6 +202,17 @@ def test_missing_trailing_blank_line():
         parse_corpus(MINIMAL[:-1])
 
 
+@pytest.mark.parametrize("tail,line,message", [
+    (b"# id = s2\n# lang = ENG\n# side = L2\n# pair = p2\n\n", 15,
+     "sentence block has no token lines"),
+    (b"# id = s2\n# lang = ENG\n", 12, "missing header '# side = ...'"),
+], ids=["no-token-lines", "headers-cut-off"])
+def test_truncated_second_block_names_its_line(tail, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_corpus(MINIMAL + tail)
+    assert err.value.args == (f"line {line}: {message}",)
+
+
 def test_alignment_parse_examples():
     got = parse_alignments(b"p1\t0-0 1-2\n")
     assert got == {"p1": Alignment("p1", frozenset({(0, 0), (1, 2)}))}
@@ -332,7 +343,7 @@ def test_heuristic_alignments_align_the_sentences_that_are_paired(
 
     l2, l1 = side(l2_sentences), side(l1_sentences)
     with pytest.raises(PairingError) as err:
-        pair_corpora(l2, l1, heuristic_alignments(l2, l1))
+        pool_pairs(l2, l1, "heuristic")
     assert err.value.problems == [problem]
     [pair] = err.value.pairs
     assert all(pair.l2.forms[i] == pair.l1.forms[j] for i, j in pair.alignment.links)

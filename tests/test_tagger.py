@@ -782,11 +782,11 @@ def test_lanes_round_trip_signed_rows(size):
         [top] * size,
     ]
     for row in rows:
-        assert unpack(sum(map(mul, row, lane))) == row
+        assert list(unpack(sum(map(mul, row, lane)))) == row
     # Packed rows add and scale lane by lane while no lane leaves the range.
     a, b = rows[1], rows[4]
     packed = 3 * sum(map(mul, a, lane)) - sum(map(mul, b, lane))
-    assert unpack(packed) == [3 * x - y for x, y in zip(a, b)]
+    assert list(unpack(packed)) == [3 * x - y for x, y in zip(a, b)]
 
 
 def test_train_refuses_lane_overflow_before_the_first_step(monkeypatch):
@@ -920,6 +920,9 @@ def test_model_file_errors():
         parse_model(b"SRLMODEL v2\nO\trel\n")
     with pytest.raises(ParseError):
         parse_model(b"SRLMODEL v1\nO\trel\tS-A0\n")  # not closed under grammar
+    with pytest.raises(ParseError) as info:
+        parse_model(b"SRLMODEL v1\nO\trel\tO\n")
+    assert info.value.args == ("line 2: duplicate labels in label set",)
     with pytest.raises(ParseError):
         parse_model(b"SRLMODEL v1\nO\trel\nE\tw0=a\n")  # short row
     model = train(toy_separable_corpus(), TrainConfig(epochs=1, seed=1))
