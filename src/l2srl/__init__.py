@@ -53,6 +53,7 @@ from l2srl.tagger import (
     load_model,
     save_model,
     tag,
+    tag_corpus,
     train,
     viterbi_decode,
 )

@@ -143,23 +143,11 @@ class RetrainReport:
     selected: int
     threshold: float
 
-    def deltas(self) -> dict:
-        out = {}
-        for split in self.baseline:
-            base, new = self.baseline[split], self.retrained[split]
-            roles = sorted(set(base.per_role) | set(new.per_role))
-            out[split] = {
-                "f1": new.f1 - base.f1,
-                "per_role": {
-                    r: new.per_role.get(r, ScoreReport()).f1
-                    - base.per_role.get(r, ScoreReport()).f1
-                    for r in roles
-                },
-            }
-        return out
+    def _splits(self):
+        return ((split, base, self.retrained[split]) for split, base in self.baseline.items())
 
     def to_dict(self) -> dict:
-        deltas = self.deltas()
+        empty = ScoreReport()
         return {
             "selection": {
                 "pool": self.pool_size,
@@ -172,10 +160,13 @@ class RetrainReport:
             "retrained": {k: v.to_dict() for k, v in self.retrained.items()},
             "deltas": {
                 split: {
-                    "f1": round2(d["f1"]),
-                    "per_role": {r: round2(x) for r, x in d["per_role"].items()},
+                    "f1": round2(new.f1 - base.f1),
+                    "per_role": {
+                        r: round2(new.per_role.get(r, empty).f1 - base.per_role.get(r, empty).f1)
+                        for r in sorted(base.per_role.keys() | new.per_role.keys())
+                    },
                 }
-                for split, d in deltas.items()
+                for split, base, new in self._splits()
             },
         }
 
@@ -184,12 +175,10 @@ class RetrainReport:
             f"pool {self.pool_size}  eligible {self.eligible}  "
             f"selected {self.selected}  (p > {self.threshold})"
         ]
-        deltas = self.deltas()
-        for split in self.baseline:
-            base, new = self.baseline[split], self.retrained[split]
+        for split, base, new in self._splits():
             lines.append(
                 f"{split:<8} baseline F {fmt2(base.f1):>6}   retrained F {fmt2(new.f1):>6}"
-                f"   delta {fmt2(deltas[split]['f1']):>6}"
+                f"   delta {fmt2(new.f1 - base.f1):>6}"
             )
         return "\n".join(lines) + "\n"
 
@@ -199,11 +188,10 @@ class RetrainReport:
             ("eligible", "", str(self.eligible)),
             ("selected", "", str(self.selected)),
         ]
-        deltas = self.deltas()
-        for split in self.baseline:
-            rows.append(("f1_baseline", split, fmt2(self.baseline[split].f1)))
-            rows.append(("f1_retrained", split, fmt2(self.retrained[split].f1)))
-            rows.append(("f1_delta", split, fmt2(deltas[split]["f1"])))
+        for split, base, new in self._splits():
+            rows.append(("f1_baseline", split, fmt2(base.f1)))
+            rows.append(("f1_retrained", split, fmt2(new.f1)))
+            rows.append(("f1_delta", split, fmt2(new.f1 - base.f1)))
         return "\n".join("\t".join(r) for r in rows) + "\n"
 
 

@@ -64,7 +64,7 @@ class TaggerModel:
     a zero weight stored as the int ``0``; only features with a non-zero
     weight have a row.  ``emissions`` is the same weights keyed by
     ``(feature, label)``: one view, reused while ``rows`` and ``labels`` are
-    the same objects (so replace ``labels`` rather than edit it in place).
+    the same objects; ``labels`` may be reordered in place, not resized.
     Decoding reuses one ``(grammar, lattice)`` pair until ``labels`` or a
     transition weight changes (see ``_scorer``).
     """
@@ -86,20 +86,21 @@ class TaggerModel:
 class Emissions(MutableMapping):
     """A model's emission weights as a ``(feature, label) -> weight`` mapping.
 
-    Reads and writes go through to the model's ``rows``.  A zero weight is
-    absent: writing one deletes the cell, and a row left all zero is dropped.
-    Writing a label outside the model's label set raises KeyError.
+    Reads and writes go through to ``rows`` at the label's current index in
+    ``labels``.  A zero weight is absent: writing one deletes the cell, and a
+    row left all zero is dropped.  Writing an unknown label raises KeyError.
     """
 
     def __init__(self, model: TaggerModel):
         self._rows = model.rows
         self._labels = model.labels
-        self._index = _label_index(tuple(model.labels))
 
     def get(self, key, default=None):
         f, lab = key
-        row, j = self._rows.get(f), self._index.get(lab)
-        return row[j] if row is not None and j is not None and row[j] else default
+        try:
+            return self._rows[f][self._labels.index(lab)] or default
+        except (KeyError, ValueError):
+            return default
 
     def __getitem__(self, key):
         if (w := self.get(key)) is None:
@@ -108,7 +109,10 @@ class Emissions(MutableMapping):
 
     def __setitem__(self, key, weight):
         f, lab = key
-        j = self._index[lab]
+        try:
+            j = self._labels.index(lab)
+        except ValueError:
+            raise KeyError(lab) from None
         row = self._rows.setdefault(f, [0] * len(self._labels))
         row[j] = weight or 0
         if not any(row):
@@ -559,18 +563,11 @@ def tag(
     model: TaggerModel, sentence: AnnotatedSentence, predicate_indices
 ) -> AnnotatedSentence:
     """Attach one decoded frame per given predicate position (gold predicates)."""
-    n = len(sentence)
     indices = list(predicate_indices)
     if len(set(indices)) != len(indices):
         raise InvalidPredicateIndex("duplicate predicate indices")
-    for index in indices:
-        if not 1 <= index <= n:
-            raise InvalidPredicateIndex(f"predicate index {index} outside 1..{n}")
     scorer = _scorer(model) if indices else None
-    frames = []
-    for index in sorted(indices):
-        tags = viterbi_decode(model, sentence, index, scorer)
-        frames.append(spans_from_tags(tags))
+    frames = [spans_from_tags(viterbi_decode(model, sentence, i, scorer)) for i in sorted(indices)]
     return replace(sentence, frames=tuple(frames))
 
 

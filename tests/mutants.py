@@ -1,0 +1,141 @@
+"""Known mutants of ``src/l2srl`` that the tier-1 tests must catch.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+Each entry of ``MUTANTS`` is ``(name, file, old text, new text)``, with
+``file`` relative to ``src``.  For each entry the script copies ``src`` to a
+temporary directory, replaces the old text there with the new, and runs the
+tier-1 tests against that copy with ``-x``; the run must end in a failed test.
+A mutant that passes, or that breaks the run another way (an import error,
+say), makes the script exit 1.  An old text that is missing from its file or
+found there more than once exits 2 before any run, so the catalogue is kept in
+step with the code.
+
+The file name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    ("viterbi: the second slot wins an inner tie", "l2srl/tagger.py",
+     "                if b > a:\n",
+     "                if b >= a:\n"),
+    ("viterbi: the later closed label wins a tie", "l2srl/tagger.py",
+     "(candidate == best and k < best_k)",
+     "(candidate == best and k > best_k)"),
+    ("viterbi: the pruned scan stops on a tie", "l2srl/tagger.py",
+     "elif score + top < best:",
+     "elif score + top <= best:"),
+    ("viterbi_decode accepts predicate n + 1", "l2srl/tagger.py",
+     "if not 1 <= predicate_index <= n:",
+     "if not 1 <= predicate_index <= n + 1:"),
+    ("tag accepts duplicate predicates", "l2srl/tagger.py",
+     "if len(set(indices)) != len(indices):",
+     "if False:"),
+    ("weight lanes read unsigned", "l2srl/tagger.py",
+     'struct.Struct(f"<{size}q")',
+     'struct.Struct(f"<{size}Q")'),
+    ("_window pads the last word", "l2srl/tagger.py",
+     "if 0 < k <= n else",
+     "if 0 < k < n else"),
+    ("emissions view keeps a copy of the labels", "l2srl/tagger.py",
+     "        self._labels = model.labels\n",
+     "        self._labels = list(model.labels)\n"),
+    ("emissions view writes every label to lane 0", "l2srl/tagger.py",
+     "            j = self._labels.index(lab)\n",
+     "            j = 0\n"),
+    ("scorer cache ignores the number of transitions", "l2srl/tagger.py",
+     "        and len(cached[1]) == len(transitions)\n",
+     ""),
+    ("model weights with surrounding whitespace accepted", "l2srl/tagger.py",
+     ' or raw != raw.strip()',
+     ""),
+    ("round2 rounds half to even", "l2srl/scoring.py",
+     "rounding=ROUND_HALF_UP",
+     'rounding="ROUND_HALF_EVEN"'),
+    ("am_coarse ignored in _frame_triples", "l2srl/scoring.py",
+     "coarse_label(s.label)) for s in frame.spans}",
+     "s.label) for s in frame.spans}"),
+    ("is_selected checks the L2 side only", "l2srl/agreement.py",
+     "        and recall.l1_recall > config.p\n",
+     ""),
+    ("the aligner's greedy tie goes to the later position", "l2srl/agreement.py",
+     "i - positions[k - 1] <= positions[k] - i",
+     "i - positions[k - 1] < positions[k] - i"),
+    ("pair_corpora accepts an L2 link at len(l2)", "l2srl/corpus.py",
+     "0 <= i < n2",
+     "0 <= i <= n2"),
+    ("write_atomic leaves its temp file on failure", "l2srl/corpus.py",
+     "        os.remove(tmp)\n",
+     "        pass\n"),
+    ("the checked-tag table is never emptied", "l2srl/model.py",
+     "            _CHECKED_TAGS.clear()\n",
+     "            pass\n"),
+    ("_boundary's tie goes to the later start", "l2srl/oracle.py",
+     "rank == best_rank and gs < best[0]",
+     "rank == best_rank and gs > best[0]"),
+    ("the retrain text report flips the delta sign", "l2srl/pipeline.py",
+     "delta {fmt2(new.f1 - base.f1)",
+     "delta {fmt2(base.f1 - new.f1)"),
+]
+
+
+def _check() -> list[str]:
+    """One problem line per entry whose old text is not in its file once."""
+    problems = []
+    for name, file, old, _ in MUTANTS:
+        count = (ROOT / "src" / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            problems.append(f"{name}: old text found {count} times in src/{file}")
+    return problems
+
+
+def _run(name, file, old, new) -> tuple[bool, str]:
+    """Run tier-1 against a mutated copy of ``src``: (caught, the failed test
+    or else the last output line)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    lines = run.stdout.strip().splitlines() or [run.stderr.strip()]
+    failed = [line[7:].split(" - ")[0] for line in lines if line.startswith("FAILED ")]
+    # pytest exits 1 when a test failed; 0 is a survivor and anything else
+    # (collection or usage errors) says nothing about the tests.
+    return run.returncode == 1, (failed or lines)[-1]
+
+
+def main() -> int:
+    problems = _check()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    survivors = []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        caught, last = _run(*mutant)
+        status = "caught" if caught else "NOT CAUGHT"
+        print(f"{status:<10} {time.perf_counter() - start:5.1f}s  {mutant[0]}  [{last}]", flush=True)
+        if not caught:
+            survivors.append(mutant[0])
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -243,6 +243,16 @@ def test_alignment_round_trips():
     assert render_alignments(parse_alignments(canonical)) == canonical
     table = {"z": Alignment("z", frozenset({(2, 1), (0, 0)}))}
     assert parse_alignments(render_alignments(table)) == table
+    assert render_alignments({}) == b"" and parse_alignments(b"") == {}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: corpus(sent("s1", ["a"]), sent("s1", ["b"])), "duplicate sentence id 's1'"),
+    (lambda: SplitSpec(dev_pairs_per_lang=-1), "dev_pairs_per_lang must be >= 0"),
+])
+def test_corpus_types_reject_bad_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _pairable(n, langs=("ENG",)):

@@ -21,6 +21,7 @@ from l2srl.model import (
     coarse_label,
     is_position_tag,
     is_role_label,
+    make_tag,
     spans_from_tags,
     tags_from_spans,
 )
@@ -305,3 +306,9 @@ def test_label_helpers():
     assert coarse_label("AM-TMP") == "AM"
     assert coarse_label("A1") == "A1"
     assert is_position_tag("B-AM-TMP") and not is_position_tag("Q-A0")
+
+
+@pytest.mark.parametrize("position, label", [("X", "A0"), ("", "A0"), ("B", "rel"), ("S", "A9")])
+def test_make_tag_rejects_a_bad_position_or_label(position, label):
+    with pytest.raises(ValueError, match=f"bad position tag: {position}-{label}$"):
+        make_tag(position, label)

@@ -4,6 +4,8 @@ monotonicity / overlap-freedom / terminal-100 guarantees."""
 import random
 from itertools import combinations
 
+import pytest
+
 from helpers import (
     corpus,
     frame,
@@ -19,6 +21,15 @@ from l2srl.oracle import ORACLE_SEQUENCE, apply_oracle, oracle_sequence
 from l2srl.scoring import report_to_json, score
 
 LABELS = ("A0", "A1", "A2", "A3", "AM", "AM-TMP", "AM-LOC")
+
+
+@pytest.mark.parametrize("pred, kind, message", [
+    (frame(2, (1, 1, "A0")), "fix", "oracle transforms require frames with the same predicate"),
+    (frame(1, (2, 2, "A0")), "relabel", "unknown oracle transform 'relabel'"),
+])
+def test_apply_oracle_rejects_a_foreign_frame_or_an_unknown_kind(pred, kind, message):
+    with pytest.raises(ValueError, match=message):
+        apply_oracle(pred, frame(1, (2, 2, "A1")), kind)
 
 
 def test_fix_relabels_on_boundary_match():

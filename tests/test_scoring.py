@@ -14,7 +14,7 @@ from helpers import (
     sent,
 )
 from l2srl.corpus import Corpus
-from l2srl.errors import MismatchedCorpora
+from l2srl.errors import MismatchedCorpora, MissingMetadata
 from l2srl.scoring import (
     GROUPINGS,
     ScoreReport,
@@ -176,6 +176,17 @@ def test_grouped_by_side_only():
     report = score_grouped(gold, gold, "side")
     assert set(report.groups) == {"L1", "L2"}
     assert report.groups["L2"].delta_f == 0.0
+
+
+@pytest.mark.parametrize("group_by, error, message", [
+    ("pair", ValueError, r"unknown grouping 'pair' \(use lang, side, or lang,side\)"),
+    ("lang,side", MissingMetadata, "sentence 'b' has no lang"),
+])
+def test_score_grouped_rejects_an_unknown_grouping_or_missing_metadata(group_by, error, message):
+    c = corpus(sent("a", ["x"], [frame(1)]), sent("b", ["x"], [frame(1)], lang=""))
+    with pytest.raises(error, match=message) as err:
+        score_grouped(c, c, group_by)
+    assert type(err.value) is error
 
 
 def test_delta_anchor_values():

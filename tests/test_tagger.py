@@ -590,6 +590,22 @@ def test_emissions_view_is_reused_until_rows_or_labels_are_replaced():
     assert alive() is None  # freed by reference counting: no model-view cycle
 
 
+def test_emissions_view_finds_lanes_in_labels_edited_in_place():
+    model = TaggerModel(build_label_set(("A0",)))
+    held = model.emissions
+    labels = model.labels
+    labels[0], labels[2] = labels[2], labels[0]  # O and S-A0 trade lanes
+    held[("w0=a", "S-A0")] = 5.0
+    model.emissions[("w0=c", "S-A0")] = 5.0
+    for view in (held, model.emissions):
+        for f in ("w0=a", "w0=c"):
+            assert model.rows[f][labels.index("S-A0")] == 5.0 and model.rows[f].count(0) == 5
+            assert view.get((f, "S-A0")) == 5.0 and view.get((f, "O")) is None
+        assert dict(view) == {("w0=a", "S-A0"): 5.0, ("w0=c", "S-A0"): 5.0}
+    s = sent("s1", ["a", "b", "c"])
+    assert tag(model, s, [2]).frames == (frame(2, (1, 1, "A0"), (3, 3, "A0")),)
+
+
 def test_tag_sees_weights_changed_between_calls():
     model = TaggerModel(build_label_set(("A0",)))
     s = sent("s1", ["a", "b", "c"])
@@ -866,6 +882,10 @@ def test_tag_validates_predicates():
         tag(model, s, [3])
     with pytest.raises(InvalidPredicateIndex):
         tag(model, s, [1, 1])
+    # Of several indices out of range, the first in decode order is named.
+    for indices in ([4, 1, 0], [0, 4], [4, 0]):
+        with pytest.raises(InvalidPredicateIndex, match=r"^predicate index 0 outside 1\.\.2$"):
+            tag(model, s, indices)
 
 
 def test_tag_reproduces_gold_on_toy_corpus():
