@@ -116,21 +116,19 @@ def match_tuples(
 
 
 def shared_tuples(
-    pair: SentencePair, l2_tuples=None, l1_tuples=None, am_coarse: bool = True
+    pair: SentencePair, am_coarse: bool = True
 ) -> tuple[set[RoleTuple], set[RoleTuple]]:
-    """match_tuples over a pair, extracting the tuple sets when not given."""
-    if l2_tuples is None:
-        l2_tuples = extract_tuples(pair.l2)
-    if l1_tuples is None:
-        l1_tuples = extract_tuples(pair.l1)
-    return match_tuples(pair.alignment.links, l2_tuples, l1_tuples, am_coarse)
+    """match_tuples over the tuples extracted from each side of a pair."""
+    return match_tuples(
+        pair.alignment.links, extract_tuples(pair.l2), extract_tuples(pair.l1), am_coarse
+    )
 
 
 def recall_pair(pair: SentencePair, am_coarse: bool = True) -> PairRecall:
     """Tuple recalls of one pair; pairs with an empty side are ineligible."""
     l2_tuples = _role_triples(pair.l2)
     l1_tuples = _role_triples(pair.l1)
-    matched_l2, matched_l1 = shared_tuples(pair, l2_tuples, l1_tuples, am_coarse)
+    matched_l2, matched_l1 = match_tuples(pair.alignment.links, l2_tuples, l1_tuples, am_coarse)
     return PairRecall(
         total_l2=len(l2_tuples),
         total_l1=len(l1_tuples),

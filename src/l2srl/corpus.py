@@ -27,6 +27,7 @@ package writes goes through ``write_atomic``.
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from l2srl.errors import (
     IllFormedTagSequence,
@@ -283,16 +284,10 @@ def _check_token_lines(lines, i):
     return forms, markers, columns, i + 1
 
 
-_INDEX_COLUMN = tuple(map(str, range(1, 257)))
-
-
+@lru_cache(maxsize=256)
 def _indices(n: int) -> tuple[str, ...]:
-    """The token index column ``("1", ..., str(n))``, cut from a cached
-    tuple that grows on demand."""
-    global _INDEX_COLUMN
-    if len(_INDEX_COLUMN) < n:
-        _INDEX_COLUMN = tuple(map(str, range(1, 2 * n + 1)))
-    return _INDEX_COLUMN[:n]
+    """The token index column ``("1", ..., str(n))``."""
+    return tuple(map(str, range(1, n + 1)))
 
 
 def render_corpus(corpus: Corpus) -> bytes:

@@ -13,6 +13,7 @@ All types are immutable values; the operations here are pure functions.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from l2srl.errors import IllFormedTagSequence, InvalidFrame
@@ -156,23 +157,10 @@ class Alignment:
         object.__setattr__(self, "links", frozenset(self.links))
 
 
-# Every tag check shares this table: spans_from_tags and corpus parsing.
-# An entry depends on its tag alone, so sharing it across callers and
-# threads changes no result; checked_tag empties it when it is full, so
-# distinct valid tags (AM subtypes) cannot grow it without bound.
-_CHECKED_TAGS: dict[str, tuple] = {}
-_CHECKED_TAGS_LIMIT = 1024
-
-
+@lru_cache(maxsize=1024)
 def checked_tag(tag: str) -> tuple | None:
-    """``split_tag(tag)`` for a valid position tag, which ``_CHECKED_TAGS``
-    then remembers, else None."""
-    split = _CHECKED_TAGS.get(tag)
-    if split is None and is_position_tag(tag):
-        if len(_CHECKED_TAGS) >= _CHECKED_TAGS_LIMIT:
-            _CHECKED_TAGS.clear()
-        split = _CHECKED_TAGS[tag] = split_tag(tag)
-    return split
+    """``split_tag(tag)`` for a valid position tag, else None."""
+    return split_tag(tag) if is_position_tag(tag) else None
 
 
 def spans_from_tags(tags) -> Frame:
@@ -196,7 +184,7 @@ def spans_from_tags(tags) -> Frame:
             if run_label is not None:
                 fail(pos, f"run B-{run_label} not closed before {tag!r}")
             continue
-        split = _CHECKED_TAGS.get(tag) or checked_tag(tag)
+        split = checked_tag(tag)
         if split is None:
             fail(pos, f"unknown tag {tag!r}")
         position, label = split

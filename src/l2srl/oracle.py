@@ -33,8 +33,6 @@ from l2srl.corpus import Corpus
 from l2srl.model import CORE_LABELS, Frame, Span
 from l2srl.scoring import ScoreReport, _aligned, _counts, _frame_pairs, _report
 
-ORACLE_SEQUENCE = ("fix", "move", "merge", "split", "boundary", "drop", "add")
-
 
 @dataclass(frozen=True)
 class OracleStage:
@@ -200,6 +198,7 @@ _TRANSFORMS = {
     "drop": _drop,
     "add": _add,
 }
+ORACLE_SEQUENCE = tuple(_TRANSFORMS)
 
 
 def apply_oracle(pred: Frame, gold: Frame, kind: str) -> Frame:

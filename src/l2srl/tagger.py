@@ -63,8 +63,8 @@ class TaggerModel:
     ``rows`` maps a feature to its weight per label, in ``labels`` order, with
     a zero weight stored as the int ``0``; only features with a non-zero
     weight have a row.  ``emissions`` is the same weights keyed by
-    ``(feature, label)``: one view, reused while ``rows`` and ``labels`` are
-    the same objects; ``labels`` may be reordered in place, not resized.
+    ``(feature, label)``, a fresh view on each read; ``labels`` may be
+    reordered in place, not resized.
     Decoding reuses one ``(grammar, lattice)`` pair until ``labels`` or a
     transition weight changes (see ``_scorer``).
     """
@@ -75,12 +75,7 @@ class TaggerModel:
 
     @property
     def emissions(self) -> "Emissions":
-        # The view holds rows and labels but not the model, so caching it
-        # makes no reference cycle; replacing either object replaces it.
-        view = self.__dict__.get("_emissions")
-        if view is None or view._rows is not self.rows or view._labels is not self.labels:
-            view = self._emissions = Emissions(self)
-        return view
+        return Emissions(self)
 
 
 class Emissions(MutableMapping):
@@ -133,9 +128,8 @@ class Emissions(MutableMapping):
         return sum(len(row) - row.count(0) for row in self._rows.values())
 
 
-@lru_cache(maxsize=16)
-def _label_index(labels: tuple) -> dict:
-    """Label -> its position in ``labels``; shared, so never mutated."""
+def _label_index(labels) -> dict:
+    """Label -> its position in ``labels``."""
     return {lab: j for j, lab in enumerate(labels)}
 
 
@@ -395,8 +389,9 @@ def _scorer(model: TaggerModel) -> tuple:
     Weights are compared by identity, not ``==``: ``10**16 == 1e16`` but
     sums with them round differently, ``0 == -0.0`` but their signs differ,
     and ``NaN != NaN`` would never reuse.  The copy keeps the weights alive,
-    so no identity is reused.  Like the ``emissions`` view, the cache sits
-    in the model's ``__dict__`` and holds no reference to the model.
+    so no identity is reused.  The cache sits in the model's ``__dict__``
+    and holds no reference to the model.  A rebuild raises ValueError when
+    an emission row's length is not the number of labels.
     """
     labels, transitions = tuple(model.labels), model.transitions
     cached = model.__dict__.get("_scorer_cache")
@@ -408,6 +403,8 @@ def _scorer(model: TaggerModel) -> tuple:
         and all(map(is_, cached[1].values(), transitions.values()))
     ):
         return cached[2]
+    if any(len(row) != len(labels) for row in model.rows.values()):
+        raise ValueError(f"an emission row does not hold one weight per label ({len(labels)})")
     index = _label_index(labels)
     matrix = [[0] * len(labels) for _ in labels]
     for (prev, lab), w in transitions.items():
@@ -502,7 +499,7 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
         s.label for sent in corpus.sentences for f in sent.frames for s in f.spans
     }
     labels = build_label_set(roles)
-    sequences = _training_sequences(corpus, {lab: j for j, lab in enumerate(labels)})
+    sequences = _training_sequences(corpus, _label_index(labels))
     if not sequences:
         raise EmptyCorpus("no (sentence, frame) training sequences in corpus")
     total = config.epochs * len(sequences)
@@ -606,7 +603,7 @@ def parse_model(data: bytes) -> TaggerModel:
     labels = lines[1].split("\t")
     _validate_label_set(labels)
     model = TaggerModel(labels=labels)
-    index = _label_index(tuple(labels))
+    index = _label_index(labels)
     seen = set()
     for n, line in enumerate(lines[2:], start=3):
         cells = line.split("\t")

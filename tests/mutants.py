@@ -57,6 +57,9 @@ MUTANTS = [
     ("scorer cache ignores the number of transitions", "l2srl/tagger.py",
      "        and len(cached[1]) == len(transitions)\n",
      ""),
+    ("_scorer's row-length check removed", "l2srl/tagger.py",
+     "    if any(len(row) != len(labels) for row in model.rows.values()):\n",
+     "    if False:\n"),
     ("model weights with surrounding whitespace accepted", "l2srl/tagger.py",
      ' or raw != raw.strip()',
      ""),
@@ -69,6 +72,9 @@ MUTANTS = [
     ("is_selected checks the L2 side only", "l2srl/agreement.py",
      "        and recall.l1_recall > config.p\n",
      ""),
+    ("shared_tuples swaps the sides", "l2srl/agreement.py",
+     "extract_tuples(pair.l2), extract_tuples(pair.l1)",
+     "extract_tuples(pair.l1), extract_tuples(pair.l2)"),
     ("the aligner's greedy tie goes to the later position", "l2srl/agreement.py",
      "i - positions[k - 1] <= positions[k] - i",
      "i - positions[k - 1] < positions[k] - i"),
@@ -78,9 +84,12 @@ MUTANTS = [
     ("write_atomic leaves its temp file on failure", "l2srl/corpus.py",
      "        os.remove(tmp)\n",
      "        pass\n"),
-    ("the checked-tag table is never emptied", "l2srl/model.py",
-     "            _CHECKED_TAGS.clear()\n",
-     "            pass\n"),
+    ("checked_tag's cache is unbounded", "l2srl/model.py",
+     "@lru_cache(maxsize=1024)",
+     "@lru_cache(maxsize=None)"),
+    ("_indices drops the last index", "l2srl/corpus.py",
+     "range(1, n + 1)",
+     "range(1, n)"),
     ("_boundary's tie goes to the later start", "l2srl/oracle.py",
      "rank == best_rank and gs < best[0]",
      "rank == best_rank and gs > best[0]"),

@@ -66,6 +66,7 @@ def test_worked_example_from_tuples():
     matched_l2, matched_l1 = match_tuples(WORKED_LINKS, WORKED_L2, WORKED_L1)
     assert matched_l2 == WORKED_L2
     assert matched_l1 == {RoleTuple(3, 1, "A0"), RoleTuple(3, 4, "A1")}
+    assert shared_tuples(worked_pair()) == (matched_l2, matched_l1)
 
 
 def worked_pair():

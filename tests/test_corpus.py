@@ -417,9 +417,8 @@ def test_random_corpora_round_trip():
         ))
         for trial in range(30)
     ]
-    # One sentence longer than the cached index column: parsing it grows
-    # the column, which the writer then reads.
-    n = len(l2srl.corpus._INDEX_COLUMN) + 1
+    # One sentence longer than any other here, past 256 tokens.
+    n = 300
     corpora.append(Corpus((random_sentence(rng, "long", n_frames=3, length=n),)))
     for c in corpora:
         data = reference_render_corpus(c)

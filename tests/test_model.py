@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from helpers import frame
-from l2srl import model
 from l2srl.corpus import Corpus, parse_corpus, render_corpus
 from l2srl.errors import IllFormedTagSequence, InvalidFrame, ParseError
 from l2srl.model import (
@@ -18,6 +17,7 @@ from l2srl.model import (
     Frame,
     Span,
     Token,
+    checked_tag,
     coarse_label,
     is_position_tag,
     is_role_label,
@@ -78,25 +78,27 @@ def _valid_sequences(labels):
     return [[f"S-{lab}", "rel", f"B-{lab}", f"I-{lab}", f"E-{lab}"] for lab in labels]
 
 
-def test_shared_tag_table_keeps_every_rejection_message(monkeypatch):
-    """Tags that valid sequences put in the shared table (I-A0, B-A1, ...)
+def test_shared_tag_table_keeps_every_rejection_message():
+    """Tags that valid sequences put in the shared cache (I-A0, B-A1, ...)
     are still rejected where the grammar forbids them, with the same
-    message; unknown tags are never added."""
-    monkeypatch.setattr(model, "_CHECKED_TAGS", {})
+    message."""
+    checked_tag.cache_clear()
     for tags, _ in STRICT_REJECTS:
         with pytest.raises(IllFormedTagSequence):
             spans_from_tags(tags)
     for tags in _valid_sequences(("A0", "A1", "AM-TMP")):
         spans_from_tags(tags)
-    assert {"I-A0", "E-A0", "B-A0", "S-A1", "I-A1"} <= model._CHECKED_TAGS.keys()
+    misses = checked_tag.cache_info().misses
+    for tag in ("I-A0", "E-A0", "B-A0", "S-A1", "I-A1"):
+        checked_tag(tag)
+    assert checked_tag.cache_info().misses == misses  # all five are cached
     for tags, message in STRICT_REJECTS:
         with pytest.raises(IllFormedTagSequence) as err:
             spans_from_tags(tags)
         assert str(err.value) == message
-    assert "X-A0" not in model._CHECKED_TAGS
 
 
-def test_shared_tag_table_leaves_parse_errors_unchanged(monkeypatch):
+def test_shared_tag_table_leaves_parse_errors_unchanged():
     head = "# id = s1\n# lang = ENG\n# side = L2\n# pair = p1\n"
     bad = {
         "1\tthe\t_\tX-A0\n2\tcat\tY\trel\n\n": (
@@ -116,41 +118,42 @@ def test_shared_tag_table_leaves_parse_errors_unchanged(monkeypatch):
             found.append((str(err.value), err.value.line))
         return found
 
-    monkeypatch.setattr(model, "_CHECKED_TAGS", {})
+    checked_tag.cache_clear()
     before = errors()
     for tags in _valid_sequences(("A0", "A1")):
         spans_from_tags(tags)
     assert errors() == before == list(bad.values())
 
 
-def test_shared_tag_table_never_grows_past_its_limit(monkeypatch):
-    """Distinct valid AM subtypes empty the table rather than grow it, in
-    one long sequence as across many short ones and in a parsed corpus,
-    and decodes and parses stay exact."""
-    monkeypatch.setattr(model, "_CHECKED_TAGS", {})
-    subtypes = [f"AM-X{k}" for k in range(3 * model._CHECKED_TAGS_LIMIT)]
+def test_shared_tag_table_never_grows_past_its_limit():
+    """Distinct valid AM subtypes do not grow the shared cache past 1024
+    tags, in one long sequence as across many short ones and in a parsed
+    corpus, and decodes and parses stay exact."""
+    checked_tag.cache_clear()
+    subtypes = [f"AM-X{k}" for k in range(3 * 1024)]
     long = ["rel"] + [f"S-{lab}" for lab in subtypes]
     expected = frame(1, *[(k, k, lab) for k, lab in enumerate(subtypes, start=2)])
     assert spans_from_tags(long) == expected
-    assert 0 < len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
+    assert 0 < checked_tag.cache_info().currsize <= 1024
     for tags in _valid_sequences(subtypes[:800]):
         spans_from_tags(tags)
-        assert len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
+        assert checked_tag.cache_info().currsize <= 1024
 
     def sentence(sid, n, f):
         return AnnotatedSentence(sid, "ENG", "L2", sid, ["w"] * n, [f])
 
-    # The parser checks its tags through the same table: the long frame,
+    # The parser checks its tags through the same cache: the long frame,
     # then S-x B-x I-x E-x of every subtype, then a tag never decoded above.
     data = render_corpus(Corpus([
         sentence("long", len(long), expected),
         *(sentence(lab, 5, frame(2, (1, 1, lab), (3, 5, lab))) for lab in subtypes),
         sentence("new", 2, frame(1, (2, 2, "AM-NEW"))),
     ]))
-    assert "S-AM-NEW" not in model._CHECKED_TAGS
     assert render_corpus(parse_corpus(data)) == data
-    assert 0 < len(model._CHECKED_TAGS) <= model._CHECKED_TAGS_LIMIT
-    assert model._CHECKED_TAGS["S-AM-NEW"] == ("S", "AM-NEW")
+    assert 0 < checked_tag.cache_info().currsize <= 1024
+    hits = checked_tag.cache_info().hits
+    assert checked_tag("S-AM-NEW") == ("S", "AM-NEW")
+    assert checked_tag.cache_info().hits == hits + 1  # the parser cached it
 
 
 def test_encode_examples():

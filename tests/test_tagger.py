@@ -575,16 +575,16 @@ def test_emissions_view_rejects_unknown_labels():
     assert model.rows == {} and ("w0=a", "S-A1") not in model.emissions
 
 
-def test_emissions_view_is_reused_until_rows_or_labels_are_replaced():
+def test_emissions_view_reads_replaced_rows_and_labels():
     model = TaggerModel(build_label_set(("A0",)))
     view = model.emissions
     view[("w0=a", "O")] = 1.0
-    assert model.emissions is view
+    assert model.emissions == {("w0=a", "O"): 1.0}
     model.rows = {"w0=b": [2.0] + [0] * (len(model.labels) - 1)}
-    assert model.emissions is not view and model.emissions == {("w0=b", "O"): 2.0}
+    assert model.emissions == {("w0=b", "O"): 2.0}
     view = model.emissions
     model.labels = ["rel", "O"] + model.labels[2:]
-    assert model.emissions is not view and model.emissions == {("w0=b", "rel"): 2.0}
+    assert model.emissions == {("w0=b", "rel"): 2.0}
     alive = weakref.ref(model)
     del model, view
     assert alive() is None  # freed by reference counting: no model-view cycle
@@ -604,6 +604,16 @@ def test_emissions_view_finds_lanes_in_labels_edited_in_place():
         assert dict(view) == {("w0=a", "S-A0"): 5.0, ("w0=c", "S-A0"): 5.0}
     s = sent("s1", ["a", "b", "c"])
     assert tag(model, s, [2]).frames == (frame(2, (1, 1, "A0"), (3, 3, "A0")),)
+
+
+def test_tag_rejects_rows_left_short_by_a_label_added_in_place():
+    model = TaggerModel(build_label_set(("A0",)))
+    model.emissions[("w0=a", "O")] = 1.0
+    s = sent("s", ["a", "b"])
+    assert tag(model, s, [1]).frames == (frame(1),)
+    model.labels.append("S-A1")
+    with pytest.raises(ValueError, match="one weight per label"):
+        tag(model, s, [1])
 
 
 def test_tag_sees_weights_changed_between_calls():
