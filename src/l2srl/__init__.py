@@ -13,7 +13,6 @@ from l2srl.agreement import (
     heuristic_align,
     recall_pair,
     select,
-    shared_tuples,
 )
 from l2srl.corpus import (
     Corpus,

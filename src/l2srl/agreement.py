@@ -115,15 +115,6 @@ def match_tuples(
     return matched_l2, matched_l1
 
 
-def shared_tuples(
-    pair: SentencePair, am_coarse: bool = True
-) -> tuple[set[RoleTuple], set[RoleTuple]]:
-    """match_tuples over the tuples extracted from each side of a pair."""
-    return match_tuples(
-        pair.alignment.links, extract_tuples(pair.l2), extract_tuples(pair.l1), am_coarse
-    )
-
-
 def recall_pair(pair: SentencePair, am_coarse: bool = True) -> PairRecall:
     """Tuple recalls of one pair; pairs with an empty side are ineligible."""
     l2_tuples = _role_triples(pair.l2)

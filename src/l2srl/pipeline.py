@@ -258,14 +258,19 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
     _check_ids(base_corpus, [s for side in sides for s in pool[side]])
     # Alignment and pairing read only ids, sides and forms, which tagging keeps.
     pairs = pool_pairs(pool_l2, pool_l1, config.alignments)
+    # Check every output location too: make the stage directories, and refuse
+    # a directory where the caller writes a report.
+    stages = [os.path.join(out, s) for s in ("baseline", "pool", "selection", "retrained")]
+    for path in stages:
+        os.makedirs(path, exist_ok=True)
+    for suffix in ("txt", "tsv", "json"):
+        if os.path.isdir(path := os.path.join(out, f"report.{suffix}")):
+            raise IsADirectoryError(f"report path is a directory: {path}")
+    baseline_dir, pool_dir, selection_dir, retrain_dir = stages
 
-    baseline_dir = os.path.join(out, "baseline")
-    os.makedirs(baseline_dir, exist_ok=True)
     baseline_model = train(base_corpus, train_config)
     save_model(baseline_model, os.path.join(baseline_dir, "model.txt"))
 
-    pool_dir = os.path.join(out, "pool")
-    os.makedirs(pool_dir, exist_ok=True)
     if config.tag_pool:
         pool_l2 = tag_corpus(baseline_model, pool_l2)
         pool_l1 = tag_corpus(baseline_model, pool_l1)
@@ -273,12 +278,8 @@ def run_retrain(config: PipelineConfig) -> RetrainReport:
         save_corpus(pool_l1, os.path.join(pool_dir, "pool_l1_tagged.tsv"))
         pairs = pair_corpora(pool_l2, pool_l1, {p.alignment.pair_id: p.alignment for p in pairs})
 
-    recalls, chosen = select_pairs(
-        pairs, config.p, config.am_coarse, os.path.join(out, "selection")
-    )
+    recalls, chosen = select_pairs(pairs, config.p, config.am_coarse, selection_dir)
 
-    retrain_dir = os.path.join(out, "retrained")
-    os.makedirs(retrain_dir, exist_ok=True)
     extra = tuple(getattr(pair, side) for side in sides for pair in chosen)
     extended = Corpus(base_corpus.sentences + extra)
     save_corpus(extended, os.path.join(retrain_dir, "train_extended.tsv"))

@@ -83,7 +83,8 @@ class Emissions(MutableMapping):
 
     Reads and writes go through to ``rows`` at the label's current index in
     ``labels``.  A zero weight is absent: writing one deletes the cell, and a
-    row left all zero is dropped.  Writing an unknown label raises KeyError.
+    row left all zero is dropped.  Writing an unknown label raises KeyError,
+    and reaching a row whose length is not the number of labels ValueError.
     """
 
     def __init__(self, model: TaggerModel):
@@ -92,10 +93,10 @@ class Emissions(MutableMapping):
 
     def get(self, key, default=None):
         f, lab = key
-        try:
-            return self._rows[f][self._labels.index(lab)] or default
-        except (KeyError, ValueError):
+        if (row := self._rows.get(f)) is None or lab not in self._labels:
             return default
+        _check_rows((row,), len(self._labels))
+        return row[self._labels.index(lab)] or default
 
     def __getitem__(self, key):
         if (w := self.get(key)) is None:
@@ -109,6 +110,7 @@ class Emissions(MutableMapping):
         except ValueError:
             raise KeyError(lab) from None
         row = self._rows.setdefault(f, [0] * len(self._labels))
+        _check_rows((row,), len(self._labels))
         row[j] = weight or 0
         if not any(row):
             del self._rows[f]
@@ -126,6 +128,12 @@ class Emissions(MutableMapping):
 
     def __len__(self):
         return sum(len(row) - row.count(0) for row in self._rows.values())
+
+
+def _check_rows(rows, size: int) -> None:
+    """ValueError unless each of ``rows`` holds ``size`` weights."""
+    if any(len(row) != size for row in rows):
+        raise ValueError(f"an emission row does not hold one weight per label ({size})")
 
 
 def _label_index(labels) -> dict:
@@ -229,17 +237,15 @@ class Grammar(NamedTuple):
     """The tag grammar over label indices of one label set.
 
     ``predecessors[j]`` lists, ascending, every label index that may precede
-    label ``j``; ``starts`` lists the labels a sequence may start with and
-    ``ends[j]`` says whether one may end with label ``j``.  ``closed`` is the
-    predecessor list of ``rel``: the labels that close a run (O, rel, S-x,
-    E-x).  ``opening`` lists the other labels with exactly those predecessors
-    (O, S-x, B-x) and ``inner`` the rest (I-x, E-x).
+    label ``j``.  ``closed`` is the predecessor list of ``rel``: the labels
+    that close a run (O, rel, S-x, E-x), which are also the labels a sequence
+    may end with.  ``opening`` lists the other labels with exactly those
+    predecessors (O, S-x, B-x) and ``inner`` the rest (I-x, E-x); ``rel`` and
+    ``opening`` are the labels a sequence may start with.
     """
 
     rel: int
     predecessors: tuple
-    starts: tuple
-    ends: tuple
     closed: tuple
     opening: tuple
     inner: tuple
@@ -265,8 +271,6 @@ def compile_grammar(labels: tuple) -> Grammar:
     return Grammar(
         rel=rel,
         predecessors=predecessors,
-        starts=tuple(j for j in indices if _can_start(labels[j])),
-        ends=tuple(_can_end(lab) for lab in labels),
         closed=closed,
         opening=tuple(j for j in indices if j != rel and predecessors[j] == closed),
         inner=tuple(j for j in indices if predecessors[j] != closed),
@@ -291,23 +295,17 @@ def _entry(grammar: Grammar, j: int, column) -> tuple:
     return j, max([column[k] for k in grammar.closed]), column
 
 
-def _lattice(grammar: Grammar, columns) -> list:
-    """The Viterbi lattice, one ``_entry`` per label; ``columns[j][k]``
-    weighs the transition from label ``k`` to label ``j``."""
-    return [_entry(grammar, j, column) for j, column in enumerate(columns)]
-
-
 _first = itemgetter(0)
 
 
 def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     """Best grammar-valid label-index sequence; ties break toward earlier labels.
 
-    ``emit[t][j]`` scores label ``j`` at token ``t``, and ``lattice`` is the
-    transition lattice ``_lattice`` built for ``grammar``.  The predicate
-    token takes ``rel`` and every other token anything but ``rel``.  Raises
-    NoValidPath when no valid sequence has a finite score.  Scores of -inf
-    or NaN are dead: they never win a comparison.
+    ``emit[t][j]`` scores label ``j`` at token ``t``, and ``lattice`` holds
+    one ``_entry`` per label of ``grammar``.  The predicate token takes
+    ``rel`` and every other token anything but ``rel``.  Raises NoValidPath
+    when no valid sequence has a finite score.  Scores of -inf or NaN are
+    dead: they never win a comparison.
 
     A label whose predecessors are the closed labels takes the best-ranked
     live closed label as its first candidate, then scans the rest best score
@@ -320,13 +318,13 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     """
     neg = float("-inf")
     rel = grammar.rel
-    size = len(grammar.ends)
+    size = len(lattice)
     closed = grammar.closed
     only_rel = [lattice[rel]]
     opening = [lattice[j] for j in grammar.opening]
     inner = [lattice[j] for j in grammar.inner]
     scores = [neg] * size
-    for j in grammar.starts:
+    for j in (rel, *grammar.opening):
         if (j == rel) == (predicate_pos == 0):
             scores[j] = emit[0][j]
     back = [None]
@@ -352,9 +350,8 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
                         best, best_k = candidate, k
                     elif score + top < best:
                         break
-                if best > neg:
-                    scores[j] = best + row[j]
-                    pointers[j] = best_k
+                scores[j] = best + row[j]
+                pointers[j] = best_k
         if not at_rel:
             for j, k1, w1, k2, w2 in inner:
                 a = prev[k1] + w1
@@ -370,8 +367,8 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
                     pointers[j] = k2
         back.append(pointers)
     best, best_j = neg, -1
-    for j, can_end in enumerate(grammar.ends):
-        if scores[j] > best and can_end:
+    for j in closed:
+        if scores[j] > best:
             best, best_j = scores[j], j
     if best_j < 0:
         raise NoValidPath("no grammar-valid tag sequence has a finite score")
@@ -403,15 +400,14 @@ def _scorer(model: TaggerModel) -> tuple:
         and all(map(is_, cached[1].values(), transitions.values()))
     ):
         return cached[2]
-    if any(len(row) != len(labels) for row in model.rows.values()):
-        raise ValueError(f"an emission row does not hold one weight per label ({len(labels)})")
+    _check_rows(model.rows.values(), len(labels))
     index = _label_index(labels)
     matrix = [[0] * len(labels) for _ in labels]
     for (prev, lab), w in transitions.items():
         if prev in index and lab in index:
             matrix[index[prev]][index[lab]] = w
     grammar = compile_grammar(labels)
-    scorer = grammar, _lattice(grammar, list(zip(*matrix)))
+    scorer = grammar, [_entry(grammar, j, column) for j, column in enumerate(zip(*matrix))]
     model._scorer_cache = (labels, dict(transitions), scorer)
     return scorer
 
@@ -514,7 +510,7 @@ def train(corpus: Corpus, config: TrainConfig | None = None) -> TaggerModel:
     emissions_lagged = defaultdict(int)
     transitions = [[0] * size for _ in labels]  # [previous label][label]
     transitions_lagged = [[0] * size for _ in labels]
-    lattice = _lattice(grammar, list(zip(*transitions)))
+    lattice = [_entry(grammar, j, column) for j, column in enumerate(zip(*transitions))]
     changed = set()  # labels whose incoming transition weights a step updated
     step = 0
     rng = random.Random(config.seed)

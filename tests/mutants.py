@@ -39,6 +39,12 @@ MUTANTS = [
     ("viterbi_decode accepts predicate n + 1", "l2srl/tagger.py",
      "if not 1 <= predicate_index <= n:",
      "if not 1 <= predicate_index <= n + 1:"),
+    ("viterbi: the first token may start on any label", "l2srl/tagger.py",
+     "    for j in (rel, *grammar.opening):\n",
+     "    for j in range(size):\n"),
+    ("viterbi: the final scan may end on any label", "l2srl/tagger.py",
+     "    for j in closed:\n        if scores[j] > best:\n",
+     "    for j in range(size):\n        if scores[j] > best:\n"),
     ("tag accepts duplicate predicates", "l2srl/tagger.py",
      "if len(set(indices)) != len(indices):",
      "if False:"),
@@ -54,33 +60,51 @@ MUTANTS = [
     ("emissions view writes every label to lane 0", "l2srl/tagger.py",
      "            j = self._labels.index(lab)\n",
      "            j = 0\n"),
+    ("emissions view reads a row of the wrong length", "l2srl/tagger.py",
+     "            return default\n        _check_rows((row,), len(self._labels))\n",
+     "            return default\n"),
+    ("emissions view writes a row of the wrong length", "l2srl/tagger.py",
+     "[0] * len(self._labels))\n        _check_rows((row,), len(self._labels))\n",
+     "[0] * len(self._labels))\n"),
     ("scorer cache ignores the number of transitions", "l2srl/tagger.py",
      "        and len(cached[1]) == len(transitions)\n",
      ""),
     ("_scorer's row-length check removed", "l2srl/tagger.py",
-     "    if any(len(row) != len(labels) for row in model.rows.values()):\n",
-     "    if False:\n"),
+     "    _check_rows(model.rows.values(), len(labels))\n",
+     ""),
     ("model weights with surrounding whitespace accepted", "l2srl/tagger.py",
      ' or raw != raw.strip()',
      ""),
+    ("a model row of unknown kind loads as an E row", "l2srl/tagger.py",
+     '        elif kind == "T":\n',
+     "        elif True:\n"),
+    ("a T row is checked as an E row", "l2srl/tagger.py",
+     '        if kind == "E":\n',
+     "        if True:\n"),
     ("round2 rounds half to even", "l2srl/scoring.py",
      "rounding=ROUND_HALF_UP",
      'rounding="ROUND_HALF_EVEN"'),
     ("am_coarse ignored in _frame_triples", "l2srl/scoring.py",
      "coarse_label(s.label)) for s in frame.spans}",
      "s.label) for s in frame.spans}"),
+    ("score's delta_f row drops the ALL scope", "l2srl/scoring.py",
+     'if key.endswith("/L2") else "ALL"',
+     'if True else "ALL"'),
     ("is_selected checks the L2 side only", "l2srl/agreement.py",
      "        and recall.l1_recall > config.p\n",
      ""),
-    ("shared_tuples swaps the sides", "l2srl/agreement.py",
-     "extract_tuples(pair.l2), extract_tuples(pair.l1)",
-     "extract_tuples(pair.l1), extract_tuples(pair.l2)"),
+    ("recall_pair swaps the sides", "l2srl/agreement.py",
+     "match_tuples(pair.alignment.links, l2_tuples, l1_tuples, am_coarse)",
+     "match_tuples(pair.alignment.links, l1_tuples, l2_tuples, am_coarse)"),
     ("the aligner's greedy tie goes to the later position", "l2srl/agreement.py",
      "i - positions[k - 1] <= positions[k] - i",
      "i - positions[k - 1] < positions[k] - i"),
     ("pair_corpora accepts an L2 link at len(l2)", "l2srl/corpus.py",
      "0 <= i < n2",
      "0 <= i <= n2"),
+    ("pair_corpora drops an L1 sentence without an L2 counterpart", "l2srl/corpus.py",
+     "        if pair_id not in l2_by_pair:\n",
+     "        if False:\n"),
     ("write_atomic leaves its temp file on failure", "l2srl/corpus.py",
      "        os.remove(tmp)\n",
      "        pass\n"),
@@ -93,6 +117,29 @@ MUTANTS = [
     ("_boundary's tie goes to the later start", "l2srl/oracle.py",
      "rank == best_rank and gs < best[0]",
      "rank == best_rank and gs > best[0]"),
+    ("the retrain config leaves a missing alignment file unchecked", "l2srl/pipeline.py",
+     '        if self.alignments != "heuristic":\n',
+     "        if False:\n"),
+    ("the retrain report divides by an empty pool", "l2srl/pipeline.py",
+     "if self.pool_size else 0.0",
+     "if True else 0.0"),
+    ("retrain checks the report paths only when it writes them", "l2srl/pipeline.py",
+     '    for suffix in ("txt", "tsv", "json"):\n'
+     '        if os.path.isdir(path := os.path.join(out, f"report.{suffix}")):\n'
+     '            raise IsADirectoryError(f"report path is a directory: {path}")\n',
+     ""),
+    ("a ParseError without a line reads line None", "l2srl/errors.py",
+     "        if line is not None:\n",
+     "        if True:\n"),
+    ("select divides by an empty pool", "l2srl/cli.py",
+     "if pairs else 0.0",
+     "if True else 0.0"),
+    ("train ignores --seed", "l2srl/cli.py",
+     "seed=1 if args.seed is None else args.seed",
+     "seed=1 if True else args.seed"),
+    ("train leaves the default seed unset", "l2srl/cli.py",
+     "seed=1 if args.seed is None else args.seed",
+     "seed=1 if False else args.seed"),
     ("the retrain text report flips the delta sign", "l2srl/pipeline.py",
      "delta {fmt2(new.f1 - base.f1)",
      "delta {fmt2(base.f1 - new.f1)"),

@@ -24,7 +24,6 @@ from l2srl.agreement import (
     recall_pair,
     select,
     selection_tsv,
-    shared_tuples,
 )
 from l2srl.corpus import SentencePair
 from l2srl.model import Alignment, Frame, Span
@@ -57,6 +56,11 @@ def test_tuple_count_equals_span_length_sum():
         assert len(extract_tuples(s)) == total
 
 
+def shared(pair):
+    """match_tuples over the tuples extracted from each side of a pair."""
+    return match_tuples(pair.alignment.links, extract_tuples(pair.l2), extract_tuples(pair.l1))
+
+
 WORKED_L2 = {RoleTuple(2, 1, "A0"), RoleTuple(2, 3, "A1")}
 WORKED_L1 = {RoleTuple(3, 1, "A0"), RoleTuple(3, 4, "A1"), RoleTuple(3, 5, "AM")}
 WORKED_LINKS = {(1, 2), (0, 0), (2, 3)}
@@ -66,7 +70,7 @@ def test_worked_example_from_tuples():
     matched_l2, matched_l1 = match_tuples(WORKED_LINKS, WORKED_L2, WORKED_L1)
     assert matched_l2 == WORKED_L2
     assert matched_l1 == {RoleTuple(3, 1, "A0"), RoleTuple(3, 4, "A1")}
-    assert shared_tuples(worked_pair()) == (matched_l2, matched_l1)
+    assert shared(worked_pair()) == (matched_l2, matched_l1)
 
 
 def worked_pair():
@@ -87,7 +91,7 @@ def test_worked_example_recalls():
 
 def test_identity_pair_recall_is_perfect():
     pair = identity_pair("p", ["a", "b", "c"], [frame(2, (1, 1, "A0"), (3, 3, "A1"))])
-    matched_l2, matched_l1 = shared_tuples(pair)
+    matched_l2, matched_l1 = shared(pair)
     assert matched_l2 == extract_tuples(pair.l2)
     assert matched_l1 == extract_tuples(pair.l1)
     recall = recall_pair(pair)
@@ -97,7 +101,7 @@ def test_identity_pair_recall_is_perfect():
 def test_empty_alignment_matches_nothing():
     pair = identity_pair("p", ["a", "b"], [frame(1, (2, 2, "A0"))])
     bare = SentencePair(pair.l2, pair.l1, Alignment("p", frozenset()))
-    assert shared_tuples(bare) == (set(), set())
+    assert shared(bare) == (set(), set())
 
 
 def test_zero_tuple_side_is_ineligible():

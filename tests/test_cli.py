@@ -89,6 +89,12 @@ def test_score_grouped_rows(gold_file, capsys):
     assert len(deltas) == 2  # one per language
 
 
+def test_score_grouped_by_side_puts_its_delta_under_all(gold_file, capsys):
+    assert main(["score", gold_file, gold_file, "--group-by", "side", "--format", "tsv"]) == 0
+    deltas = [line for line in capsys.readouterr().out.split("\n") if line.startswith("delta_f\t")]
+    assert deltas == ["delta_f\tALL\t0.00"]
+
+
 def test_score_mismatch_exit_3(gold_file, tmp_path):
     other = write(tmp_path / "other.tsv", corpus(sent("zz", ["a"], [])))
     assert main(["score", other, gold_file]) == 3
@@ -184,6 +190,13 @@ def test_select_threshold_one_selects_nothing(tmp_path, capsys):
     assert len(load_corpus(out / "selected_l2.tsv")) == 0
 
 
+def test_select_on_an_empty_pool(tmp_path, capsys):
+    empty = write(tmp_path / "empty.tsv", Corpus(()))
+    assert main(["select", empty, empty, "--out", str(tmp_path / "sel")]) == 0
+    assert capsys.readouterr().out == "pool 0  selected 0  ratio 0.0000  (p > 0.9)\n"
+    assert (tmp_path / "sel" / "selection.tsv").read_text().count("\n") == 1
+
+
 def test_select_pairing_error_exit_4(tmp_path):
     l2_file, l1_file = _pair_files(tmp_path)
     lonely = write(
@@ -209,6 +222,16 @@ def test_train_deterministic_byte_identical(tmp_path):
     assert main(["train", toy_file, str(a), "--seed", "3"]) == 0
     assert main(["train", toy_file, str(b), "--seed", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_train_seed_defaults_to_1(tmp_path):
+    toy_file = write(tmp_path / "toy.tsv", toy_separable_corpus())
+    models = {}
+    for name, flags in (("default", []), ("1", ["--seed", "1"]), ("7", ["--seed", "7"])):
+        path = tmp_path / f"{name}.txt"
+        assert main(["train", toy_file, str(path), "--epochs", "2", *flags]) == 0
+        models[name] = path.read_bytes()
+    assert models["default"] == models["1"] != models["7"]
 
 
 def test_tag_with_empty_model_is_all_o(tmp_path):
@@ -376,9 +399,11 @@ def test_retrain_rejects_malformed_alignment_file_before_training(
     ("epochs = 10", "epochs = 0", "epochs must be >= 1, got 0"),
     ("dev = dev.tsv\n", "", "config key 'dev' is required"),
     ("train = train.tsv", "train = missing.tsv", "path does not exist: "),
+    ("alignments = heuristic", "alignments = missing.align", "path does not exist: "),
     ("seed = 1", "seed 1", "line 11: expected 'key = value', got 'seed 1'"),
     ("seed = 1", "seed = 1\nseed = 2", "line 12: duplicate config key 'seed'"),
-], ids=["p", "extend_with", "epochs", "required", "path", "no-equals", "duplicate"])
+], ids=["p", "extend_with", "epochs", "required", "path", "alignments-path", "no-equals",
+        "duplicate"])
 def test_retrain_rejects_bad_config_before_training(
     tmp_path, monkeypatch, capsys, old, new, message
 ):
@@ -388,6 +413,36 @@ def test_retrain_rejects_bad_config_before_training(
     assert main(["retrain", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("selection", "file"), ("retrained", "file"),
+    ("report.txt", "dir"), ("report.tsv", "dir"), ("report.json", "dir"),
+])
+def test_retrain_rejects_a_blocked_output_path_before_training(
+    tmp_path, monkeypatch, capsys, name, kind
+):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    blocked = tmp_path / "fix" / "run" / name
+    blocked.parent.mkdir()
+    if kind == "dir":
+        blocked.mkdir()
+    else:
+        blocked.write_text("")
+    calls = _count_train_calls(monkeypatch)
+    assert main(["retrain", "--config", str(config)]) == 1
+    assert str(blocked) in capsys.readouterr().err
+    assert calls == []
+
+
+def test_retrain_on_an_empty_pool(tmp_path, capsys):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=0, good_pairs=0)
+    assert main(["retrain", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("pool 0  eligible 0  selected 0  (p > 0.9)\n")
+    report = json.loads((tmp_path / "fix" / "run" / "report.json").read_text())
+    assert report["selection"] == {
+        "pool": 0, "eligible": 0, "selected": 0, "ratio": 0.0, "threshold": 0.9,
+    }
 
 
 def test_retrain_unknown_config_key_exit_2(tmp_path):

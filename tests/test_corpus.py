@@ -90,6 +90,12 @@ def test_crlf_rejected_with_line_number():
     assert err.value.line == 1
 
 
+def test_parse_error_names_its_line_only_when_it_has_one():
+    assert str(ParseError("bad value", 3)) == "line 3: bad value"
+    err = ParseError("bad value")
+    assert (str(err), err.line) == ("bad value", None)
+
+
 def test_parse_error_line_numbers():
     bad_index = MINIMAL.replace(b"2\teats", b"x\teats")
     with pytest.raises(ParseError) as err:
@@ -282,6 +288,14 @@ def test_pair_corpora_reports_unmatched():
         pair_corpora(l2, short_l1, aligns)
     assert len(err.value.pairs) == 1  # matched subset still available
     assert any("p1" in p for p in err.value.problems)
+
+
+def test_pair_corpora_reports_an_l1_sentence_without_an_l2_counterpart():
+    l2, l1, aligns = _pairable(2)
+    with pytest.raises(PairingError) as err:
+        pair_corpora(Corpus(l2.sentences[:1]), l1, aligns)
+    assert err.value.problems == ["L1 sentence 'p1.l1' (pair 'p1') has no L2 counterpart"]
+    assert [pair.l2.pair_id for pair in err.value.pairs] == ["p0"]
 
 
 def test_pair_corpora_checks_alignment_bounds():

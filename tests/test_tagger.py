@@ -187,6 +187,16 @@ def test_viterbi_matches_exhaustive_search():
 TEN_ROLES = ("A0", "A1", "A2", "A3", "A4", "AM", "AM-ADV", "AM-LOC", "AM-MNR", "AM-TMP")
 
 
+def _assert_start_and_end_sets(labels):
+    """The decoder starts on ``rel`` or an opening label and ends on a closed
+    one; those must be exactly the labels the reference predicates allow."""
+    grammar = compile_grammar(tuple(labels))
+    assert grammar.closed == tuple(j for j, lab in enumerate(labels) if _can_end(lab))
+    assert sorted((grammar.rel, *grammar.opening)) == [
+        j for j, lab in enumerate(labels) if _can_start(lab)
+    ]
+
+
 def test_compiled_grammar_matches_reference_predicates():
     labels = build_label_set(TEN_ROLES)
     grammar = compile_grammar(tuple(labels))
@@ -195,8 +205,7 @@ def test_compiled_grammar_matches_reference_predicates():
         assert grammar.predecessors[j] == tuple(
             k for k, prev in enumerate(labels) if _can_follow(prev, lab)
         )
-        assert grammar.ends[j] == _can_end(lab)
-    assert grammar.starts == tuple(j for j, lab in enumerate(labels) if _can_start(lab))
+    _assert_start_and_end_sets(labels)
     closed = [lab for lab in labels if not lab.startswith(("B-", "I-"))]
     assert [labels[k] for k in grammar.closed] == closed
     assert len(closed) == 22 and len(grammar.opening) == 21  # rel is apart
@@ -422,6 +431,18 @@ def test_decoder_matches_reference_on_label_lists_not_closed_under_the_grammar()
     assert counts == {0, 1, 2}
 
 
+def test_start_and_end_sets_match_reference_predicates_on_random_label_lists():
+    """Shuffled lists holding rel and any other labels, odd strings and lists
+    not closed under the grammar included."""
+    rng = random.Random(3141)
+    pool = ["O", "X", "B", "I-", "E-", "Q-A0", "B-A0x", "S-A0-", "IA0"]
+    pool += [f"{p}-{role}" for p in "SBIE" for role in ("A0", "A1", "AM", "AM-TMP")]
+    for _ in range(2000):
+        labels = ["rel", *rng.sample(pool, rng.randint(0, 12))]
+        rng.shuffle(labels)
+        _assert_start_and_end_sets(labels)
+
+
 def test_decoder_rejects_a_label_list_that_repeats_a_label():
     """A repeated B-x would give I-x three predecessors, more than its two
     slots; the grammar rejects the list before any lattice is built."""
@@ -614,6 +635,28 @@ def test_tag_rejects_rows_left_short_by_a_label_added_in_place():
     model.labels.append("S-A1")
     with pytest.raises(ValueError, match="one weight per label"):
         tag(model, s, [1])
+
+
+def test_emissions_view_rejects_rows_left_short_by_a_label_added_in_place():
+    """The view raises _scorer's ValueError, not a bare IndexError, and an
+    unknown label still reads the default and refuses a write."""
+    model = TaggerModel(build_label_set(("A0",)))
+    model.emissions[("w0=a", "O")] = 1.0
+    model.labels.append("S-A1")
+    view = model.emissions
+    with pytest.raises(ValueError, match="one weight per label \\(7\\)$"):
+        view.get(("w0=a", "S-A1"))
+    with pytest.raises(ValueError, match="one weight per label \\(7\\)$"):
+        view[("w0=a", "O")]
+    with pytest.raises(ValueError, match="one weight per label \\(7\\)$"):
+        view[("w0=a", "S-A1")] = 2.0
+    assert model.rows == {"w0=a": [1.0, 0, 0, 0, 0, 0]}
+    assert view.get(("w0=a", "S-A2"), "absent") == "absent"
+    assert view.get(("w0=b", "S-A1")) is None
+    with pytest.raises(KeyError):
+        view[("w0=a", "S-A2")] = 1.0
+    view[("w0=b", "S-A1")] = 3.0
+    assert model.rows["w0=b"] == [0, 0, 0, 0, 0, 0, 3.0]
 
 
 def test_tag_sees_weights_changed_between_calls():
@@ -959,6 +1002,19 @@ def test_model_file_errors():
     data = render_model(model)
     with pytest.raises(ParseError):
         parse_model(data[: len(data) // 2])  # truncated mid-file
+
+
+@pytest.mark.parametrize("row, message", [
+    ("X\tw0=a\tO\t1.0", "line 4: unknown row kind 'X'"),
+    ("T\tB-A9\tO\t1.0", "line 4: unknown label in transition 'B-A9' -> 'O'"),
+    ("T\tO\tB-A9\t1.0", "line 4: unknown label in transition 'O' -> 'B-A9'"),
+    ("E\tw0=a\tB-A9\t1.0", "line 4: unknown label 'B-A9'"),
+], ids=["kind", "transition-from", "transition-to", "emission"])
+def test_model_rejects_rows_of_unknown_kind_or_label(row, message):
+    data = f"SRLMODEL v1\nO\trel\nT\tO\tO\t1.0\n{row}\n".encode()
+    with pytest.raises(ParseError) as info:
+        parse_model(data)
+    assert info.value.args == (message,)
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "-Infinity"])
