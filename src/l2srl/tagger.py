@@ -572,13 +572,15 @@ def tag_corpus(model: TaggerModel, corpus: Corpus) -> Corpus:
 
 
 def render_model(model: TaggerModel) -> bytes:
-    """Canonical model file: header, label line, then sorted E/T weight rows."""
+    """Canonical model file: header, label line, then sorted E/T weight rows.
+    Each distinct emission weight is formatted once, as ``repr(float(w))``."""
     labels = model.labels
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}", "\t".join(labels)]
     by_name = sorted(range(len(labels)), key=labels.__getitem__)
+    text = {w: repr(float(w)) for w in set().union(*model.rows.values())}
     for f in sorted(model.rows):
         row, prefix = model.rows[f], f"E\t{f}\t"
-        lines.extend(f"{prefix}{labels[j]}\t{float(row[j])!r}" for j in by_name if row[j])
+        lines.extend(f"{prefix}{labels[j]}\t{text[row[j]]}" for j in by_name if row[j])
     for a, b in sorted(model.transitions):
         if w := model.transitions[(a, b)]:
             lines.append(f"T\t{a}\t{b}\t{float(w)!r}")

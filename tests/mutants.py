@@ -143,6 +143,24 @@ MUTANTS = [
     ("the retrain text report flips the delta sign", "l2srl/pipeline.py",
      "delta {fmt2(new.f1 - base.f1)",
      "delta {fmt2(base.f1 - new.f1)"),
+    ("render_model's weight table drops float()", "l2srl/tagger.py",
+     "text = {w: repr(float(w)) for w in",
+     "text = {w: repr(w) for w in"),
+    ("a token line's predicate marker may be any text", "l2srl/corpus.py",
+     'if cells[2] not in ("Y", "_"):',
+     "if False:"),
+    ("a header line's key is not checked", "l2srl/corpus.py",
+     "if not line.startswith(prefix):",
+     "if False:"),
+    ("an alignment line may have an empty pair id", "l2srl/corpus.py",
+     "if not pair_id:",
+     "if False:"),
+    ("a model's label set may lack O or rel", "l2srl/tagger.py",
+     "if O_TAG not in labels or REL_TAG not in labels:",
+     "if False:"),
+    ("the retrain config rejects epochs = 1", "l2srl/pipeline.py",
+     "if self.epochs < 1:",
+     "if self.epochs <= 1:"),
 ]
 
 

@@ -26,6 +26,7 @@ import l2srl
 from l2srl import pipeline, scoring
 from l2srl.cli import build_parser, main
 from l2srl.corpus import Corpus, load_corpus, parse_corpus, render_corpus
+from l2srl.errors import ParseError
 from l2srl.scoring import score
 from l2srl.tagger import TaggerModel, build_label_set, render_model
 
@@ -413,6 +414,14 @@ def test_retrain_rejects_bad_config_before_training(
     assert main(["retrain", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     assert calls == []
+
+
+def test_retrain_config_accepts_one_epoch_and_rejects_zero(tmp_path):
+    config = build_retrain_fixture(tmp_path / "fix", pool_pairs=4, good_pairs=1)
+    text, base = config.read_text(), str(config.parent)
+    assert pipeline.parse_config(text.replace("epochs = 10", "epochs = 1"), base).epochs == 1
+    with pytest.raises(ParseError, match="epochs must be >= 1, got 0"):
+        pipeline.parse_config(text.replace("epochs = 10", "epochs = 0"), base)
 
 
 @pytest.mark.parametrize("name, kind", [

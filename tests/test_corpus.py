@@ -193,6 +193,19 @@ def test_header_order_and_spacing_enforced():
         parse_corpus(tight)
 
 
+@pytest.mark.parametrize("old, new, line, message", [
+    (b"3\tred\t_", b"3\tred\tX", 7, "predicate marker must be Y or _, got 'X'"),
+    (b"# id = s1", b"# ix = s1", 1, "expected header '# id = ...', got '# ix = s1'"),
+], ids=["marker", "header-key"])
+def test_bad_marker_or_header_key_is_rejected_on_its_line(old, new, line, message):
+    # Without these two rules an X marker on a non-predicate token, or a
+    # header key of the right length, would load.
+    with pytest.raises(ParseError) as err:
+        parse_corpus(MINIMAL.replace(old, new))
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
 def test_predicate_marker_consistency():
     # A predicate without its Y, and a Y on a token that is no predicate.
     cases = [(b"2\teats\tY", b"2\teats\t_", 2), (b"4\tbean\t_", b"4\tbean\tY", 4)]
@@ -228,6 +241,13 @@ def test_alignment_parse_examples():
     assert err.value.line == 1
     with pytest.raises(ParseError):
         parse_alignments(b"p1\t0-0\np1\t1-1\n")
+
+
+def test_alignment_rejects_an_empty_pair_id():
+    with pytest.raises(ParseError) as err:
+        parse_alignments(b"p1\t0-0\n\t1-1\n")
+    assert err.value.line == 2
+    assert "empty pair id" in str(err.value)
 
 
 @pytest.mark.parametrize("index", ["²", "١", " 2", "+2", "01", "00"])

@@ -2,6 +2,7 @@
 training, and model persistence."""
 
 import hashlib
+import math
 import random
 import weakref
 from dataclasses import replace
@@ -895,6 +896,22 @@ def test_render_model_formats_equal_weights_alike():
     assert render_model(trained) == reference_render_model(trained)
 
 
+def test_render_model_formats_nan_inf_and_split_equal_weights_alike():
+    """Weights that no trained model holds still render as in a per-cell
+    renderer: two distinct NaN objects (unequal to each other and to
+    themselves), +inf and -inf, and an equal int/float pair in two rows."""
+    model = TaggerModel(build_label_set(("A0",)))
+    size = len(model.labels)
+    nan_a, nan_b = float("nan"), float("nan")
+    assert nan_a is not nan_b
+    model.rows["w0=a"] = [nan_a, math.inf, 3] + [0] * (size - 3)
+    model.rows["w0=b"] = [0, -math.inf, nan_b, 3.0] + [0] * (size - 4)
+    data = render_model(model)
+    assert data == reference_render_model(model)
+    assert data.count(b"\tnan\n") == 2 and data.count(b"\t3.0\n") == 2
+    assert b"\tinf\n" in data and b"\t-inf\n" in data
+
+
 def test_train_converges_on_separable_toy_corpus():
     toy = toy_separable_corpus()
     model = train(toy, TrainConfig(epochs=10, seed=1))
@@ -1002,6 +1019,16 @@ def test_model_file_errors():
     data = render_model(model)
     with pytest.raises(ParseError):
         parse_model(data[: len(data) // 2])  # truncated mid-file
+
+
+@pytest.mark.parametrize("labels", [
+    "rel\tS-A0\tB-A0\tI-A0\tE-A0", "O\tS-A0\tB-A0\tI-A0\tE-A0",
+], ids=["no-O", "no-rel"])
+def test_model_rejects_a_label_set_without_o_or_rel(labels):
+    with pytest.raises(ParseError) as info:
+        parse_model(f"SRLMODEL v1\n{labels}\n".encode())
+    assert info.value.line == 2
+    assert "label set must include O and rel" in str(info.value)
 
 
 @pytest.mark.parametrize("row, message", [
