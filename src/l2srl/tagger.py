@@ -312,9 +312,12 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     first and stops at the first ``k`` with ``prev[k] + top < best``: float
     addition rounds monotonically (and int weights, as ``train`` uses, add
     exactly below 2**53), so no later candidate reaches or ties ``best``, and
-    the result is that of a full scan in index order.  With no live closed
-    label these labels stay dead.  An I-x or E-x label compares its two
-    predecessor slots directly; the first wins a tie.
+    the result is that of a full scan in index order.  That test is first
+    made for the second-ranked label, before the scan: when it holds, the
+    label settles on the best-ranked one, where each token's pointers start;
+    a tie, a dead sum or a NaN ``top`` fails it and takes the scan.  With no
+    live closed label these labels stay dead.  An I-x or E-x label compares
+    its two predecessor slots directly; the first wins a tie.
     """
     neg = float("-inf")
     rel = grammar.rel
@@ -331,7 +334,6 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
     for t in range(1, len(emit)):
         prev, row = scores, emit[t]
         scores = [neg] * size
-        pointers = [-1] * size
         at_rel = t == predicate_pos
         # Live closed labels, best score first; the sort is stable, so ties
         # keep ascending index order.
@@ -340,8 +342,14 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
             ranked.sort(key=_first, reverse=True)
             first, first_k = ranked[0]
             rest = ranked[1:]
+            second = rest[0][0] if rest else neg
+            pointers = [first_k] * size
             for j, top, column in only_rel if at_rel else opening:
-                best, best_k = first + column[first_k], first_k
+                best = first + column[first_k]
+                if second + top < best:
+                    scores[j] = best + row[j]
+                    continue
+                best_k = first_k
                 if not best > neg:  # a dead sum: any live candidate replaces it
                     best = neg
                 for score, k in rest:
@@ -352,6 +360,8 @@ def _viterbi(grammar: Grammar, lattice, emit, predicate_pos: int) -> list[int]:
                         break
                 scores[j] = best + row[j]
                 pointers[j] = best_k
+        else:
+            pointers = [-1] * size
         if not at_rel:
             for j, k1, w1, k2, w2 in inner:
                 a = prev[k1] + w1
@@ -435,13 +445,14 @@ def viterbi_decode(
         # Adding the rows per label in feature order keeps float sums those
         # of left-to-right addition from an int 0; skipping a missing row, or
         # that leading 0, can only flip the sign of a zero score, which no
-        # comparison or later non-zero sum sees.  A lone row is not copied,
-        # so no weight row may change while this call runs.
-        row = zero
-        for f in token_feats:
-            if hit := weights(f):
-                row = hit if row is zero else list(map(add, row, hit))
-        emit.append(row)
+        # comparison or later non-zero sum sees.  Later rows chain lazily, so
+        # a token builds one list; a lone row is not copied, so no weight row
+        # may change while this call runs.
+        hits = filter(None, map(weights, token_feats))
+        row = first = next(hits, zero)
+        for hit in hits:
+            row = map(add, row, hit)
+        emit.append(first if row is first else list(row))
     path = _viterbi(*scorer, emit, predicate_index - 1)
     return [model.labels[j] for j in path]
 

@@ -161,6 +161,21 @@ MUTANTS = [
     ("the retrain config rejects epochs = 1", "l2srl/pipeline.py",
      "if self.epochs < 1:",
      "if self.epochs <= 1:"),
+    ("viterbi: an opening label settles on a tie", "l2srl/tagger.py",
+     "if second + top < best:",
+     "if second + top <= best:"),
+    ("viterbi_decode keeps only a token's first weight row", "l2srl/tagger.py",
+     "row = map(add, row, hit)",
+     "row = map(add, row, zero)"),
+    ("a header value may be empty or padded", "l2srl/corpus.py",
+     'if not value or value != value.strip() or "\\t" in value:',
+     "if False:"),
+    ("a token line may have fewer than 3 columns", "l2srl/corpus.py",
+     "if len(cells) < 3:",
+     "if False:"),
+    ("a non-integer token index reads as out of sequence", "l2srl/corpus.py",
+     "if not _is_ascii_digits(cells[0]):",
+     "if False:"),
 ]
 
 

@@ -196,10 +196,14 @@ def test_header_order_and_spacing_enforced():
 @pytest.mark.parametrize("old, new, line, message", [
     (b"3\tred\t_", b"3\tred\tX", 7, "predicate marker must be Y or _, got 'X'"),
     (b"# id = s1", b"# ix = s1", 1, "expected header '# id = ...', got '# ix = s1'"),
-], ids=["marker", "header-key"])
-def test_bad_marker_or_header_key_is_rejected_on_its_line(old, new, line, message):
-    # Without these two rules an X marker on a non-predicate token, or a
-    # header key of the right length, would load.
+    (b"# id = s1", b"# id = s1 ", 1, "bad id header value 's1 '"),
+    (b"1\the\t_\tS-A0", b"1\the", 5, "token line needs at least 3 columns, got 2"),
+    (b"2\teats", b"x\teats", 6, "non-integer token index 'x'"),
+], ids=["marker", "header-key", "header-value", "two-columns", "index"])
+def test_malformed_header_or_token_line_names_its_rule_and_line(old, new, line, message):
+    # Without its rule, an X marker on a non-predicate token, a header key of
+    # the right length or the id 's1 ' would load, a two-column line would
+    # raise IndexError, and a non-integer index would be blamed on the order.
     with pytest.raises(ParseError) as err:
         parse_corpus(MINIMAL.replace(old, new))
     assert err.value.line == line
